@@ -30,6 +30,7 @@
 #include "data/planted.h"
 #include "data/synthetic.h"
 #include "obs/metrics.h"
+#include "obs/request_phases.h"
 #include "predict/cvr_model.h"
 #include "predict/features.h"
 #include "serve/client.h"
@@ -202,44 +203,24 @@ int Run(int32_t bench_users, int32_t bench_items) {
 
   // Server-side phase attribution (DESIGN.md §17): the handler stamped
   // every request's lifecycle during the load above, and RecordPhases
-  // folded the deltas into the shared registry's serve.phase.*
-  // histograms — read them back so the artifact splits the end-to-end
-  // percentiles into where the time actually went.
-  struct PhaseRow {
-    const char* name;
-    obs::Histogram* histogram;
-  };
-  const PhaseRow phase_rows[] = {
-      {"parse", &registry.GetHistogram("serve.phase.parse_us",
-                                       obs::DefaultLatencyBoundsUs())},
-      {"queue_wait", &registry.GetHistogram("serve.phase.queue_wait_us",
-                                            obs::DefaultLatencyBoundsUs())},
-      {"assemble", &registry.GetHistogram("serve.phase.assemble_us",
-                                          obs::DefaultLatencyBoundsUs())},
-      {"forward", &registry.GetHistogram("serve.phase.forward_us",
-                                         obs::DefaultLatencyBoundsUs())},
-      {"index", &registry.GetHistogram("serve.phase.index_us",
-                                       obs::DefaultLatencyBoundsUs())},
-      {"reply", &registry.GetHistogram("serve.phase.reply_us",
-                                       obs::DefaultLatencyBoundsUs())},
-  };
+  // folded the deltas into the serve.phase.* histograms — read them back
+  // so the artifact splits the end-to-end percentiles into where the time
+  // actually went.
   std::printf("\n%-26s %12s %12s %12s %12s\n", "phase", "count", "p50(us)",
               "p95(us)", "p99(us)");
   std::string phases_json;
-  for (size_t i = 0; i < sizeof(phase_rows) / sizeof(phase_rows[0]); ++i) {
-    const PhaseRow& row = phase_rows[i];
-    std::printf("%-26s %12lld %12.0f %12.0f %12.0f\n", row.name,
-                static_cast<long long>(row.histogram->count()),
-                row.histogram->Percentile(0.50),
-                row.histogram->Percentile(0.95),
-                row.histogram->Percentile(0.99));
+  for (size_t p = 0; p < obs::kNumPhases; ++p) {
+    const obs::Histogram& histogram = metrics.phase_histogram(p);
+    std::printf("%-26s %12lld %12.0f %12.0f %12.0f\n", obs::kPhases[p].name,
+                static_cast<long long>(histogram.count()),
+                histogram.Percentile(0.50), histogram.Percentile(0.95),
+                histogram.Percentile(0.99));
     phases_json += StrFormat(
         "    \"%s\": {\"count\": %lld, \"p50\": %.1f, \"p95\": %.1f, "
         "\"p99\": %.1f}%s\n",
-        row.name, static_cast<long long>(row.histogram->count()),
-        row.histogram->Percentile(0.50), row.histogram->Percentile(0.95),
-        row.histogram->Percentile(0.99),
-        i + 1 < sizeof(phase_rows) / sizeof(phase_rows[0]) ? "," : "");
+        obs::kPhases[p].name, static_cast<long long>(histogram.count()),
+        histogram.Percentile(0.50), histogram.Percentile(0.95),
+        histogram.Percentile(0.99), p + 1 < obs::kNumPhases ? "," : "");
   }
 
   // ---------------------------------------------------------------------

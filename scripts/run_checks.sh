@@ -11,18 +11,12 @@
 #   3. the kernels + tsan labels again with HIGNN_SIMD=off (the scalar
 #      fallback must stay bit-identical to the vector paths)
 #   4. the `lint` label: hignn_lint fixture tests + whole-tree scan
-#   5. the `serve` label plus three end-to-end smokes: the client-verb
-#      round trip, a retrieval-index leg (beamed-vs-exact topk parity,
-#      the legacy --no-index store layout, truncated index sections
-#      rejected on reload), and a chaos leg (HIGNN_FAULT_INJECT-failed
-#      reload, wire reload, SIGHUP hot-swap, bitwise score stability
-#      throughout)
-#   6. an introspection smoke (DESIGN.md §17): a traced daemon scraped
-#      over the `metrics` verb (Prometheus exposition format validated by
-#      a pinned parser when python3 is present), its shutdown event log
-#      analyzed by hignn_obs (per-phase percentiles + dominant-phase
-#      attribution of slow exemplars), and the observation-only contract
-#      re-proved over the wire against an --obs-off daemon
+#   5. the `serve` label
+#   6. the end-to-end smokes in scripts/smoke/: serving (client verbs and
+#      the retrieval index), chaos (fault-injected and SIGHUP reloads),
+#      telemetry (fit artifacts, --obs-off parity) and introspection
+#      (Prometheus scrape, event log -> hignn_obs, --obs-off parity over
+#      the wire); each script's header says what it checks
 #   7. clang-tidy over src/ via compile_commands.json, when clang-tidy is
 #      installed (skipped with a notice otherwise, so the gate stays green
 #      in minimal containers)
@@ -58,222 +52,11 @@ ctest --test-dir "$BUILD_DIR" -L lint --output-on-failure -j "$(nproc)"
 echo "== serving tests"
 ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 
-echo "== hignn_serve smoke (export-store -> daemon -> client verbs)"
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-"$BUILD_DIR/tools/hignn" export-store --preset tiny --users 120 --items 60 \
-  --steps 30 --out "$SMOKE_DIR/store.hgnnstore"
-"$BUILD_DIR/tools/hignn_serve" serve --store "$SMOKE_DIR/store.hgnnstore" \
-  --port 0 --port-file "$SMOKE_DIR/port" \
-  --metrics-out "$SMOKE_DIR/metrics.json" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$SMOKE_DIR/port" ] && break
-  sleep 0.1
+# End-to-end smokes, one copy each in scripts/smoke/ (CI runs the same
+# scripts).
+for smoke in serving chaos telemetry introspection; do
+  "scripts/smoke/$smoke.sh" "$BUILD_DIR"
 done
-PORT="$(cat "$SMOKE_DIR/port")"
-"$BUILD_DIR/tools/hignn_serve" health --port "$PORT"
-"$BUILD_DIR/tools/hignn_serve" score --port "$PORT" --user 3 --item 7
-"$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" --user 3 --k 5
-"$BUILD_DIR/tools/hignn_serve" stats --port "$PORT"
-
-echo "== retrieval-index smoke (beamed vs exact, --no-index leg, corruption)"
-# Beamed (server default --topk-beam) vs exact (--beam -1): at this scale
-# the beam never prunes, so the answers must match byte for byte.
-TOPK_BEAMED="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
-  --user 3 --k 5)"
-TOPK_EXACT="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
-  --user 3 --k 5 --beam -1)"
-[ "$TOPK_BEAMED" = "$TOPK_EXACT" ]
-# Legacy layout: a --no-index (version-1) export of the same pipeline
-# serves identical answers — the index is rebuilt deterministically on
-# load, not required in the file.
-"$BUILD_DIR/tools/hignn" export-store --preset tiny --users 120 --items 60 \
-  --steps 30 --no-index --out "$SMOKE_DIR/store_v1.hgnnstore"
-RELOAD="$("$BUILD_DIR/tools/hignn_serve" reload --port "$PORT" \
-  --store "$SMOKE_DIR/store_v1.hgnnstore")"
-[ "$RELOAD" = "reloaded generation=2" ]
-TOPK_V1="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
-  --user 3 --k 5)"
-[ "$TOPK_V1" = "$TOPK_BEAMED" ]
-# The index sections obey the store-corruption contract: a truncated v2
-# file is rejected at open (IOError), so the reload fails and the
-# previous generation keeps serving.
-head -c "$(( $(wc -c < "$SMOKE_DIR/store.hgnnstore") - 64 ))" \
-  "$SMOKE_DIR/store.hgnnstore" > "$SMOKE_DIR/store_truncated.hgnnstore"
-if "$BUILD_DIR/tools/hignn_serve" reload --port "$PORT" \
-    --store "$SMOKE_DIR/store_truncated.hgnnstore"; then
-  echo "expected reload of truncated index store to fail" >&2
-  exit 1
-fi
-HEALTH="$("$BUILD_DIR/tools/hignn_serve" health --port "$PORT")"
-[ "$HEALTH" = "ok generation=2" ]
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-test -s "$SMOKE_DIR/metrics.json"
-
-echo "== serving chaos smoke (fault-injected reload + SIGHUP hot-swap)"
-# serve.store.open is one-shot at hit 2: the initial open (hit 1) passes,
-# the first reload (hit 2) fails and must leave generation 1 serving, and
-# every open after that succeeds.
-HIGNN_FAULT_INJECT="serve.store.open=fail@2" \
-  "$BUILD_DIR/tools/hignn_serve" serve --store "$SMOKE_DIR/store.hgnnstore" \
-  --port 0 --port-file "$SMOKE_DIR/chaos_port" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$SMOKE_DIR/chaos_port" ] && break
-  sleep 0.1
-done
-PORT="$(cat "$SMOKE_DIR/chaos_port")"
-HEALTH="$("$BUILD_DIR/tools/hignn_serve" health --port "$PORT" \
-  --retries 3 --backoff-ms 10)"
-[ "$HEALTH" = "ok generation=1" ]
-SCORE_BEFORE="$("$BUILD_DIR/tools/hignn_serve" score --port "$PORT" \
-  --user 3 --item 7 --retries 3 --backoff-ms 10)"
-if "$BUILD_DIR/tools/hignn_serve" reload --port "$PORT"; then
-  echo "expected fault-injected reload to fail" >&2
-  exit 1
-fi
-HEALTH="$("$BUILD_DIR/tools/hignn_serve" health --port "$PORT")"
-[ "$HEALTH" = "ok generation=1" ]
-RELOAD="$("$BUILD_DIR/tools/hignn_serve" reload --port "$PORT")"
-[ "$RELOAD" = "reloaded generation=2" ]
-# SIGHUP re-opens the current store path with zero downtime.
-kill -HUP "$SERVE_PID"
-for _ in $(seq 1 100); do
-  HEALTH="$("$BUILD_DIR/tools/hignn_serve" health --port "$PORT")"
-  [ "$HEALTH" = "ok generation=3" ] && break
-  sleep 0.1
-done
-[ "$HEALTH" = "ok generation=3" ]
-SCORE_AFTER="$("$BUILD_DIR/tools/hignn_serve" score --port "$PORT" \
-  --user 3 --item 7)"
-# Bitwise score stability across a failed reload, a wire reload, and a
-# SIGHUP reload of the same store.
-[ "$SCORE_BEFORE" = "$SCORE_AFTER" ]
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-
-echo "== telemetry smoke (fit --metrics-out/--trace-out, --obs-off parity)"
-"$BUILD_DIR/tools/hignn" gen-data --preset tiny --users 80 --items 40 \
-  --out "$SMOKE_DIR/clicks.tsv"
-"$BUILD_DIR/tools/hignn" fit --graph "$SMOKE_DIR/clicks.tsv" --levels 2 \
-  --dim 8 --steps 40 --out "$SMOKE_DIR/model.hgnn" \
-  --metrics-out "$SMOKE_DIR/train_metrics.json" \
-  --trace-out "$SMOKE_DIR/train_trace.json"
-"$BUILD_DIR/tools/hignn" fit --graph "$SMOKE_DIR/clicks.tsv" --levels 2 \
-  --dim 8 --steps 40 --out "$SMOKE_DIR/model_obs_off.hgnn" --obs-off
-# Telemetry is observation-only: the model must be bitwise identical
-# with collection on and off.
-cmp "$SMOKE_DIR/model.hgnn" "$SMOKE_DIR/model_obs_off.hgnn"
-test -s "$SMOKE_DIR/train_metrics.json"
-test -s "$SMOKE_DIR/train_trace.json"
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$SMOKE_DIR/train_metrics.json" "$SMOKE_DIR/train_trace.json" <<'PY'
-import json, sys
-metrics = json.load(open(sys.argv[1]))
-for key in ("counters", "gauges", "histograms", "series"):
-    assert key in metrics, "missing section: " + key
-assert metrics["counters"].get("train.steps", 0) > 0, metrics["counters"]
-trace = json.load(open(sys.argv[2]))
-events = trace["traceEvents"]
-assert any(e["name"] == "fit" for e in events), "missing fit span"
-assert any(e["name"] == "fit.step" for e in events), "missing fit.step span"
-print("telemetry artifacts OK: %d trace events" % len(events))
-PY
-else
-  echo "python3 not installed; skipping telemetry JSON validation"
-fi
-
-echo "== introspection smoke (Prometheus scrape + event log -> hignn_obs)"
-# A traced daemon: --slow-us 1 makes every request a slow exemplar, and
-# the structured event log lands in events.jsonl at shutdown.
-"$BUILD_DIR/tools/hignn_serve" serve --store "$SMOKE_DIR/store.hgnnstore" \
-  --port 0 --port-file "$SMOKE_DIR/obs_port" \
-  --events-out "$SMOKE_DIR/events.jsonl" --slow-us 1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$SMOKE_DIR/obs_port" ] && break
-  sleep 0.1
-done
-PORT="$(cat "$SMOKE_DIR/obs_port")"
-SCORE_TRACED="$("$BUILD_DIR/tools/hignn_serve" score --port "$PORT" \
-  --user 3 --item 7 --request-id-seed 42)"
-TOPK_TRACED="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
-  --user 3 --k 5 --request-id-seed 42)"
-# Live Prometheus scrape of the server's shared registry over the wire.
-"$BUILD_DIR/tools/hignn_serve" metrics --port "$PORT" \
-  > "$SMOKE_DIR/metrics.prom"
-grep -q '^# TYPE hignn_serve_requests_score counter$' "$SMOKE_DIR/metrics.prom"
-grep -q 'hignn_serve_latency_us_bucket{le="+Inf"}' "$SMOKE_DIR/metrics.prom"
-if command -v python3 >/dev/null 2>&1; then
-  # Pinned exposition-format parser: every line must be a TYPE comment or
-  # a sample, histogram buckets must be cumulative, +Inf == _count.
-  python3 - "$SMOKE_DIR/metrics.prom" <<'PY'
-import re, sys
-typed, samples = {}, []
-for line in open(sys.argv[1]).read().splitlines():
-    if not line:
-        continue
-    if line.startswith("#"):
-        m = re.fullmatch(
-            r"# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram)",
-            line)
-        assert m, "bad comment line: %r" % line
-        typed[m.group(1)] = m.group(2)
-    else:
-        m = re.fullmatch(
-            r'([a-zA-Z_:][a-zA-Z0-9_:]*)(\{le="[^"]+"\})? (\S+)', line)
-        assert m, "bad sample line: %r" % line
-        samples.append((m.group(1), m.group(2), float(m.group(3))))
-assert typed and all(n.startswith("hignn_") for n in typed), typed
-for name, kind in sorted(typed.items()):
-    if kind != "histogram":
-        continue
-    buckets = [v for n, _, v in samples if n == name + "_bucket"]
-    assert buckets and buckets == sorted(buckets), (name, buckets)
-    inf = [v for n, lbl, v in samples
-           if n == name + "_bucket" and lbl == '{le="+Inf"}']
-    count = [v for n, _, v in samples if n == name + "_count"]
-    assert inf == count, (name, inf, count)
-hists = sum(1 for k in typed.values() if k == "histogram")
-print("prometheus exposition OK: %d series, %d histograms"
-      % (len(typed), hists))
-PY
-else
-  echo "python3 not installed; skipping exposition-format validation"
-fi
-# The live trace-dump verb serves the same event log without a restart.
-"$BUILD_DIR/tools/hignn_serve" trace-dump --port "$PORT" \
-  > "$SMOKE_DIR/trace_dump.jsonl"
-grep -q '"request_id"' "$SMOKE_DIR/trace_dump.jsonl"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-test -s "$SMOKE_DIR/events.jsonl"
-grep -q '"slow": true' "$SMOKE_DIR/events.jsonl"
-"$BUILD_DIR/tools/hignn_obs" analyze --events "$SMOKE_DIR/events.jsonl" \
-  > "$SMOKE_DIR/obs_report.txt"
-cat "$SMOKE_DIR/obs_report.txt"
-grep -q 'phase latency percentiles' "$SMOKE_DIR/obs_report.txt"
-grep -q 'dominant=' "$SMOKE_DIR/obs_report.txt"
-# Observation-only, re-proved over the wire: an --obs-off daemon serving
-# the same store answers byte-identical score and topk lines.
-"$BUILD_DIR/tools/hignn_serve" serve --store "$SMOKE_DIR/store.hgnnstore" \
-  --port 0 --port-file "$SMOKE_DIR/obs_off_port" --obs-off &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$SMOKE_DIR/obs_off_port" ] && break
-  sleep 0.1
-done
-PORT="$(cat "$SMOKE_DIR/obs_off_port")"
-SCORE_OFF="$("$BUILD_DIR/tools/hignn_serve" score --port "$PORT" \
-  --user 3 --item 7)"
-TOPK_OFF="$("$BUILD_DIR/tools/hignn_serve" topk --port "$PORT" \
-  --user 3 --k 5)"
-[ "$SCORE_TRACED" = "$SCORE_OFF" ]
-[ "$TOPK_TRACED" = "$TOPK_OFF" ]
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
 
 echo "== clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then

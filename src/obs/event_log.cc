@@ -10,26 +10,6 @@
 namespace hignn {
 namespace obs {
 
-const char* Event::PhaseName(size_t phase) {
-  static const char* kNames[kNumPhases] = {
-      "accept_us",         "parse_us",        "enqueue_us",
-      "batch_close_us",    "rows_assembled_us", "forward_done_us",
-      "index_descent_us",  "reply_flushed_us"};
-  HIGNN_CHECK(phase < kNumPhases);
-  return kNames[phase];
-}
-
-int64_t Event::DurationUs() const {
-  int64_t first = -1;
-  int64_t last = -1;
-  for (int64_t stamp : stamps) {
-    if (stamp < 0) continue;
-    if (first < 0 || stamp < first) first = stamp;
-    if (stamp > last) last = stamp;
-  }
-  return first < 0 ? 0 : last - first;
-}
-
 EventLog::EventLog(size_t capacity, size_t exemplar_capacity)
     : capacity_(capacity), exemplar_capacity_(exemplar_capacity) {
   HIGNN_CHECK(capacity_ > 0);
@@ -98,9 +78,9 @@ std::string EventLog::DumpJsonl() const {
         stored.event.ok ? "true" : "false",
         stored.slow ? "true" : "false",
         static_cast<long long>(stored.event.DurationUs()));
-    for (size_t phase = 0; phase < Event::kNumPhases; ++phase) {
-      jsonl += StrFormat(", \"%s\": %lld", Event::PhaseName(phase),
-                         static_cast<long long>(stored.event.stamps[phase]));
+    for (const StampDef& stamp : kStamps) {
+      jsonl += StrFormat(", \"%s\": %lld", stamp.key,
+                         static_cast<long long>(stored.event.*stamp.field));
     }
     jsonl += "}\n";
   }

@@ -6,46 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/request_phases.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace hignn {
 namespace obs {
-
-/// \brief Structured per-request event record (DESIGN.md §17). The obs
-/// layer stays serve-agnostic: the verb is the raw wire byte and the
-/// phases are a fixed schema of monotonic microsecond stamps (process
-/// epoch, obs::NowMicros()); -1 marks a phase the request never reached.
-/// tools/hignn_obs maps verbs and phases back to names offline.
-struct Event {
-  uint64_t request_id = 0;  ///< 0 = untraced (legacy frame without a tag)
-  uint8_t verb = 0;
-  bool ok = true;
-
-  /// Phase-stamp schema, in lifecycle order. Indexes are stable wire/log
-  /// contract; PhaseName() names them for dumps.
-  static constexpr size_t kNumPhases = 8;
-  int64_t stamps[kNumPhases] = {-1, -1, -1, -1, -1, -1, -1, -1};
-
-  static const char* PhaseName(size_t phase);
-
-  /// \brief End-to-end duration: last present stamp minus first present
-  /// stamp, or 0 when fewer than two phases were stamped.
-  int64_t DurationUs() const;
-};
-
-/// Named indexes into Event::stamps.
-enum EventPhase : size_t {
-  kPhaseAccept = 0,
-  kPhaseParse = 1,
-  kPhaseEnqueue = 2,
-  kPhaseBatchClose = 3,
-  kPhaseRowsAssembled = 4,
-  kPhaseForwardDone = 5,
-  kPhaseIndexDescent = 6,
-  kPhaseReplyFlushed = 7,
-};
 
 /// \brief Bounded, lock-cheap structured event log: a fixed-size ring of
 /// recent events plus a separate exemplar ring that always captures slow

@@ -4,8 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/request_phases.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -13,13 +12,6 @@
 namespace hignn {
 
 namespace {
-
-// Observation-only phase stamping (DESIGN.md §17): gated on the global
-// telemetry switch so --obs-off keeps the batcher clock-free outside the
-// batching window itself.
-void Stamp(RequestContext* ctx, int64_t RequestContext::*field) {
-  if (ctx != nullptr && obs::Enabled()) ctx->*field = obs::NowMicros();
-}
 
 // True when every id in `requests` is addressable in `store`.
 bool RequestsValidFor(const EmbeddingStore& store,
@@ -80,7 +72,7 @@ Result<std::vector<float>> MicroBatcher::Score(
   auto job = std::make_shared<Job>();
   job->requests = requests;
   job->ctx = ctx;
-  Stamp(ctx, &RequestContext::enqueue_us);
+  obs::Stamp(ctx, &RequestContext::enqueue_us);
   {
     MutexLock lock(mu_);
     if (stopping_) {
@@ -149,7 +141,7 @@ void MicroBatcher::CollectorLoop() {
       // the owning callers are parked in job_finished_.Wait, so these
       // writes cannot race their eventual reads.
       for (const auto& job : batch) {
-        Stamp(job->ctx, &RequestContext::batch_close_us);
+        obs::Stamp(job->ctx, &RequestContext::batch_close_us);
       }
     }
 
@@ -179,12 +171,12 @@ void MicroBatcher::CollectorLoop() {
     // forward stamps; collect them only when some member wants them.
     bool any_ctx = false;
     for (const auto& job : runnable) any_ctx |= job->ctx != nullptr;
-    ScorePhases batch_phases;
+    RequestContext batch_stamps;
     Result<std::vector<float>> scores =
         combined.empty()
             ? std::vector<float>{}
             : generation->engine->ScoreBatch(
-                  combined, any_ctx ? &batch_phases : nullptr);
+                  combined, any_ctx ? &batch_stamps : nullptr);
     metrics_->RecordBatch(batch_rows);
 
     // Phase 3 (locked): distribute results and publish done under mu_ so
@@ -202,8 +194,8 @@ void MicroBatcher::CollectorLoop() {
           job->status = scores.status();
         }
         if (job->ctx != nullptr) {
-          job->ctx->rows_assembled_us = batch_phases.rows_assembled_us;
-          job->ctx->forward_done_us = batch_phases.forward_done_us;
+          job->ctx->rows_assembled_us = batch_stamps.rows_assembled_us;
+          job->ctx->forward_done_us = batch_stamps.forward_done_us;
         }
         offset += job->requests.size();
       }

@@ -274,10 +274,10 @@ uint64_t ScoringClient::TagRequest(std::vector<char>* frame) {
 
 void ScoringClient::ParseReplyTrailer(WireReader& reader,
                                       uint64_t request_id) {
-  // Trailer := tag(1) + id(8) + eight i64 phase stamps (64). Anything
-  // else trailing the body is some future server's extension — skip it
-  // and keep last_trace_ as the previous traced reply.
-  constexpr size_t kTrailerBytes = 1 + 8 + 8 * 8;
+  // Trailer := tag(1) + id(8) + one i64 per stamp, in table order.
+  // Anything else trailing the body is some future server's extension —
+  // skip it and keep last_trace_ as the previous traced reply.
+  constexpr size_t kTrailerBytes = 1 + 8 + 8 * obs::kNumStamps;
   if (request_id == 0 || reader.remaining() != kTrailerBytes) return;
   RequestContext trace;
   const Result<uint8_t> tag = reader.TakeU8();
@@ -285,15 +285,10 @@ void ScoringClient::ParseReplyTrailer(WireReader& reader,
   const Result<uint64_t> echoed = reader.TakeU64();
   if (!echoed.ok() || echoed.value() != request_id) return;
   trace.request_id = echoed.value();
-  int64_t* const stamps[] = {
-      &trace.accept_us,         &trace.parse_us,
-      &trace.enqueue_us,        &trace.batch_close_us,
-      &trace.rows_assembled_us, &trace.forward_done_us,
-      &trace.index_descent_us,  &trace.reply_flushed_us};
-  for (int64_t* stamp : stamps) {
+  for (const obs::StampDef& stamp : obs::kStamps) {
     const Result<int64_t> value = reader.TakeI64();
     if (!value.ok()) return;
-    *stamp = value.value();
+    trace.*stamp.field = value.value();
   }
   last_trace_ = trace;
 }

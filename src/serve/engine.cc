@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "nn/matrix.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/request_phases.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -22,13 +21,6 @@ constexpr size_t kForwardChunk = 4096;
 // row-assembly work itself.
 constexpr size_t kParallelRowCutoff = 32;
 
-// Phase stamps are observational and gated on the telemetry switch: with
-// --obs-off the engine never reads the clock (the §11 contract's spirit,
-// and what keeps bench/obs_overhead's off-leg an honest baseline).
-void Stamp(int64_t* slot) {
-  if (slot != nullptr && obs::Enabled()) *slot = obs::NowMicros();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<PredictionEngine>> PredictionEngine::Open(
@@ -45,7 +37,7 @@ PredictionEngine::PredictionEngine(std::unique_ptr<EmbeddingStore> store,
     : store_(std::move(store)), model_(std::move(model)) {}
 
 Result<std::vector<float>> PredictionEngine::ScoreBatch(
-    const std::vector<ScoreRequest>& batch, ScorePhases* phases) {
+    const std::vector<ScoreRequest>& batch, RequestContext* ctx) {
   if (batch.empty()) return std::vector<float>{};
   for (const ScoreRequest& request : batch) {
     if (request.user < 0 || request.user >= store_->num_users()) {
@@ -59,11 +51,11 @@ Result<std::vector<float>> PredictionEngine::ScoreBatch(
                     store_->num_items()));
     }
   }
-  return ScoreValidated(batch, phases);
+  return ScoreValidated(batch, ctx);
 }
 
 std::vector<float> PredictionEngine::ScoreValidated(
-    const std::vector<ScoreRequest>& batch, ScorePhases* phases) {
+    const std::vector<ScoreRequest>& batch, RequestContext* ctx) {
   const size_t dim = static_cast<size_t>(store_->feature_dim());
   Matrix rows(batch.size(), dim);
   const auto fill = [&](size_t begin, size_t end) {
@@ -78,10 +70,10 @@ std::vector<float> PredictionEngine::ScoreValidated(
   } else {
     GlobalThreadPool().ParallelFor(0, batch.size(), fill);
   }
-  Stamp(phases ? &phases->rows_assembled_us : nullptr);
+  obs::Stamp(ctx, &RequestContext::rows_assembled_us);
 
   std::vector<float> scores = ForwardRows(rows);
-  Stamp(phases ? &phases->forward_done_us : nullptr);
+  obs::Stamp(ctx, &RequestContext::forward_done_us);
   return scores;
 }
 
@@ -111,7 +103,7 @@ std::vector<float> PredictionEngine::ForwardRows(const Matrix& rows) {
 }
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
-    int32_t user, int32_t k, ScorePhases* phases) {
+    int32_t user, int32_t k, RequestContext* ctx) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (user < 0 || user >= store_->num_users()) {
     return Status::InvalidArgument(StrFormat(
@@ -125,7 +117,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
     batch.push_back(ScoreRequest{user, item});
     items.push_back(item);
   }
-  const std::vector<float> scores = ScoreValidated(batch, phases);
+  const std::vector<float> scores = ScoreValidated(batch, ctx);
   return TopKByScore(items, scores, k);
 }
 
@@ -136,7 +128,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     int32_t user, int32_t k, int32_t beam,
-    ClusterTreeIndex::SearchStats* stats, ScorePhases* phases) {
+    ClusterTreeIndex::SearchStats* stats, RequestContext* ctx) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (user < 0 || user >= store_->num_users()) {
     return Status::InvalidArgument(StrFormat(
@@ -148,7 +140,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     // linear scan — bitwise identical to the two-argument overload. No
     // descent ran, so index_descent_us stays -1.
     if (stats != nullptr) *stats = ClusterTreeIndex::SearchStats{};
-    return RecommendExact(user, k, phases);
+    return RecommendExact(user, k, ctx);
   }
   const ClusterTreeIndex::RowScorer scorer =
       [this](const Matrix& rows) -> Result<std::vector<float>> {
@@ -158,13 +150,13 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
       const std::vector<int32_t> leaves,
       index.SelectLeaves(store_->UserBlock(user), store_->UserTail(user),
                          beam, scorer, stats));
-  Stamp(phases ? &phases->index_descent_us : nullptr);
+  obs::Stamp(ctx, &RequestContext::index_descent_us);
   std::vector<ScoreRequest> batch;
   batch.reserve(leaves.size());
   for (const int32_t item : leaves) {
     batch.push_back(ScoreRequest{user, item});
   }
-  const std::vector<float> scores = ScoreValidated(batch, phases);
+  const std::vector<float> scores = ScoreValidated(batch, ctx);
   return TopKByScore(leaves, scores, k);
 }
 

@@ -8,6 +8,7 @@
 
 #include "predict/recommender.h"
 #include "serve/embedding_store.h"
+#include "serve/request_context.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -19,17 +20,6 @@ namespace hignn {
 struct ScoreRequest {
   int32_t user = 0;
   int32_t item = 0;
-};
-
-/// \brief Optional phase-stamp out-params for the engine's compute
-/// pipeline (DESIGN.md §17): obs::NowMicros() values written as each
-/// phase completes, -1 for phases the call never entered. Purely
-/// observational — no engine decision reads them — and only written when
-/// telemetry is enabled, so the --obs-off path does not touch the clock.
-struct ScorePhases {
-  int64_t rows_assembled_us = -1;  ///< feature rows gathered
-  int64_t forward_done_us = -1;    ///< MLP forward finished
-  int64_t index_descent_us = -1;   ///< beam descent finished (index path)
 };
 
 /// \brief In-process scoring engine over an EmbeddingStore: assembles
@@ -49,10 +39,11 @@ class PredictionEngine {
   /// \brief Scores a batch of pairs; result[i] belongs to batch[i].
   /// Invalid ids fail the whole batch with InvalidArgument before any
   /// forward runs (the caller — the micro-batcher — validates per
-  /// request, so a mixed batch never reaches the model).
+  /// request, so a mixed batch never reaches the model). `ctx` (optional)
+  /// receives the rows-assembled and forward-done stamps.
   Result<std::vector<float>> ScoreBatch(
       const std::vector<ScoreRequest>& batch,
-      ScorePhases* phases = nullptr);
+      RequestContext* ctx = nullptr);
 
   /// \brief Scores every item for `user` and returns the k best via the
   /// same TopKByScore ranking the offline recommender uses (score
@@ -67,11 +58,13 @@ class PredictionEngine {
   /// falls back to the full linear scan, bitwise identical to the
   /// two-argument overload. Results are deterministic for any fixed
   /// beam regardless of thread count. `stats` (optional) receives the
-  /// per-search index telemetry; it is zeroed on the exact path.
+  /// per-search index telemetry; it is zeroed on the exact path. `ctx`
+  /// (optional) receives the index-descent (beamed path only),
+  /// rows-assembled and forward-done stamps.
   Result<std::vector<Recommendation>> RecommendTopK(
       int32_t user, int32_t k, int32_t beam,
       ClusterTreeIndex::SearchStats* stats = nullptr,
-      ScorePhases* phases = nullptr);
+      RequestContext* ctx = nullptr);
 
   const EmbeddingStore& store() const { return *store_; }
 
@@ -80,11 +73,11 @@ class PredictionEngine {
 
   /// \brief Parallel row assembly + chunked forward. Ids must be valid.
   std::vector<float> ScoreValidated(const std::vector<ScoreRequest>& batch,
-                                    ScorePhases* phases = nullptr);
+                                    RequestContext* ctx = nullptr);
 
   /// \brief Shared exact-scan tail of both RecommendTopK overloads.
   Result<std::vector<Recommendation>> RecommendExact(int32_t user, int32_t k,
-                                                     ScorePhases* phases);
+                                                     RequestContext* ctx);
 
   /// \brief Chunked forward over pre-assembled rows (the shared tail of
   /// ScoreValidated and the index's per-level centroid scoring).

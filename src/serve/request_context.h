@@ -1,48 +1,13 @@
 #ifndef HIGNN_SERVE_REQUEST_CONTEXT_H_
 #define HIGNN_SERVE_REQUEST_CONTEXT_H_
 
-#include <cstdint>
+#include "obs/request_phases.h"
 
 namespace hignn {
 
-/// \brief Per-request trace state threaded through the serving path
-/// (DESIGN.md §17): server -> MicroBatcher -> PredictionEngine ->
-/// ClusterTreeIndex. Each field is a monotonic timestamp in microseconds
-/// from obs::NowMicros() (process-epoch based, never wall clock), stamped
-/// as the request crosses that phase boundary; -1 means the request never
-/// reached the phase (a kHealth request has no batch-close, an exact-scan
-/// topk has no index descent).
-///
-/// Ownership: the handler thread owns the context for the request's
-/// lifetime. The MicroBatcher's collector thread writes the enqueue-to-
-/// forward stamps while the handler blocks on Job::done; the batcher's
-/// mutex handoff publishes those writes back, so no stamp is read
-/// concurrently with its write and the struct needs no atomics.
-///
-/// Observation-only contract (§11): nothing in this struct may feed
-/// scores, batching decisions, or any other deterministic output — it
-/// rides alongside the request, never steers it.
-struct RequestContext {
-  /// Client-assigned ID from the wire frame's tagged trailer; 0 means the
-  /// frame carried no tag (an untraced legacy client).
-  uint64_t request_id = 0;
-
-  /// Wire verb byte, recorded for the event log.
-  uint8_t verb = 0;
-
-  /// Whether the request was answered kOk (set as the reply is built).
-  bool ok = false;
-
-  /// Phase boundaries, in wire order of a scoring request's life.
-  int64_t accept_us = -1;          ///< connection handed to a handler
-  int64_t parse_us = -1;           ///< request frame decoded
-  int64_t enqueue_us = -1;         ///< job entered the batch queue
-  int64_t batch_close_us = -1;     ///< batching window closed on the job
-  int64_t rows_assembled_us = -1;  ///< feature rows gathered from the store
-  int64_t forward_done_us = -1;    ///< MLP forward finished
-  int64_t index_descent_us = -1;   ///< cluster-tree beam descent finished
-  int64_t reply_flushed_us = -1;   ///< response frame handed to the kernel
-};
+/// \brief Per-request trace state threaded through the serving path; the
+/// record and its phase model live in obs/request_phases.h.
+using RequestContext = obs::RequestContext;
 
 }  // namespace hignn
 

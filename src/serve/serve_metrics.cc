@@ -57,18 +57,11 @@ void ServeMetrics::BindMetrics(obs::MetricsRegistry* registry) {
                                         obs::DefaultLatencyBoundsUs());
   batch_rows_ = &registry->GetHistogram("serve.batch_rows",
                                         obs::DefaultBatchRowBounds());
-  phase_parse_ = &registry->GetHistogram("serve.phase.parse_us",
-                                         obs::DefaultLatencyBoundsUs());
-  phase_queue_wait_ = &registry->GetHistogram(
-      "serve.phase.queue_wait_us", obs::DefaultLatencyBoundsUs());
-  phase_assemble_ = &registry->GetHistogram("serve.phase.assemble_us",
-                                            obs::DefaultLatencyBoundsUs());
-  phase_forward_ = &registry->GetHistogram("serve.phase.forward_us",
-                                           obs::DefaultLatencyBoundsUs());
-  phase_index_ = &registry->GetHistogram("serve.phase.index_us",
-                                         obs::DefaultLatencyBoundsUs());
-  phase_reply_ = &registry->GetHistogram("serve.phase.reply_us",
-                                         obs::DefaultLatencyBoundsUs());
+  for (size_t p = 0; p < obs::kNumPhases; ++p) {
+    phases_[p] = &registry->GetHistogram(
+        StrFormat("serve.phase.%s_us", obs::kPhases[p].name),
+        obs::DefaultLatencyBoundsUs());
+  }
 }
 
 void ServeMetrics::RecordRequest(ServeVerbStat verb, double latency_us,
@@ -79,28 +72,10 @@ void ServeMetrics::RecordRequest(ServeVerbStat verb, double latency_us,
 }
 
 void ServeMetrics::RecordPhases(const RequestContext& ctx) {
-  const auto record = [](obs::Histogram* histogram, int64_t end,
-                         int64_t begin) {
-    if (begin >= 0 && end >= begin) {
-      histogram->Record(static_cast<double>(end - begin));
-    }
-  };
-  record(phase_parse_, ctx.parse_us, ctx.accept_us);
-  record(phase_queue_wait_, ctx.batch_close_us, ctx.enqueue_us);
-  record(phase_index_, ctx.index_descent_us, ctx.parse_us);
-  // Row assembly starts where the previous phase on this verb's path
-  // ended: the batch close (batched score), the index descent (beamed
-  // topk), or the parse (exact-scan topk).
-  const int64_t assemble_from = ctx.batch_close_us >= 0
-                                    ? ctx.batch_close_us
-                                    : ctx.index_descent_us >= 0
-                                          ? ctx.index_descent_us
-                                          : ctx.parse_us;
-  record(phase_assemble_, ctx.rows_assembled_us, assemble_from);
-  record(phase_forward_, ctx.forward_done_us, ctx.rows_assembled_us);
-  const int64_t reply_from =
-      ctx.forward_done_us >= 0 ? ctx.forward_done_us : ctx.parse_us;
-  record(phase_reply_, ctx.reply_flushed_us, reply_from);
+  for (size_t p = 0; p < obs::kNumPhases; ++p) {
+    const int64_t delta = obs::PhaseDelta(ctx, obs::kPhases[p]);
+    if (delta >= 0) phases_[p]->Record(static_cast<double>(delta));
+  }
 }
 
 void ServeMetrics::RecordShed() { shed_->Add(1); }

@@ -53,11 +53,16 @@ class ServeMetrics {
   void RecordRequest(ServeVerbStat verb, double latency_us, bool ok);
 
   /// \brief Per-phase latency attribution from a completed request's
-  /// context (DESIGN.md §17): adjacent stamp deltas land in the
-  /// `serve.phase.*_us` histograms. A phase is recorded only when both of
-  /// its boundary stamps are present, so verbs that skip a phase (health,
-  /// exact-scan topk) never pollute the distribution with zeros.
+  /// context (DESIGN.md §17): each obs::kPhases delta lands in its
+  /// `serve.phase.<name>_us` histogram. A phase is recorded only when the
+  /// request crossed it, so verbs that skip a phase (health, exact-scan
+  /// topk) never pollute the distribution with zeros.
   void RecordPhases(const RequestContext& ctx);
+
+  /// \brief The histogram behind obs::kPhases[phase].
+  const obs::Histogram& phase_histogram(size_t phase) const {
+    return *phases_[phase];
+  }
 
   /// \brief One request rejected by overload shedding (fast-fail).
   void RecordShed();
@@ -125,12 +130,7 @@ class ServeMetrics {
   obs::Gauge* store_generation_ = nullptr;
   obs::Histogram* latency_us_ = nullptr;
   obs::Histogram* batch_rows_ = nullptr;
-  obs::Histogram* phase_parse_ = nullptr;
-  obs::Histogram* phase_queue_wait_ = nullptr;
-  obs::Histogram* phase_assemble_ = nullptr;
-  obs::Histogram* phase_forward_ = nullptr;
-  obs::Histogram* phase_index_ = nullptr;
-  obs::Histogram* phase_reply_ = nullptr;
+  obs::Histogram* phases_[obs::kNumPhases] = {};
 };
 
 }  // namespace hignn

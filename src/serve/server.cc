@@ -48,28 +48,6 @@ std::vector<char> ErrorResponse(WireStatus code, const std::string& message) {
   return writer.bytes();
 }
 
-// Observation-only phase stamp, no-op under --obs-off (§17).
-void Stamp(int64_t* slot) {
-  if (obs::Enabled()) *slot = obs::NowMicros();
-}
-
-// RequestContext -> structured event-log record.
-obs::Event EventFromContext(const RequestContext& ctx) {
-  obs::Event event;
-  event.request_id = ctx.request_id;
-  event.verb = ctx.verb;
-  event.ok = ctx.ok;
-  event.stamps[obs::kPhaseAccept] = ctx.accept_us;
-  event.stamps[obs::kPhaseParse] = ctx.parse_us;
-  event.stamps[obs::kPhaseEnqueue] = ctx.enqueue_us;
-  event.stamps[obs::kPhaseBatchClose] = ctx.batch_close_us;
-  event.stamps[obs::kPhaseRowsAssembled] = ctx.rows_assembled_us;
-  event.stamps[obs::kPhaseForwardDone] = ctx.forward_done_us;
-  event.stamps[obs::kPhaseIndexDescent] = ctx.index_descent_us;
-  event.stamps[obs::kPhaseReplyFlushed] = ctx.reply_flushed_us;
-  return event;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<ScoringServer>> ScoringServer::Start(
@@ -231,15 +209,15 @@ void ScoringServer::ServeConnection(int fd) {
       break;  // closed, corrupt, or shutting down
     }
     RequestContext ctx;
-    Stamp(&ctx.accept_us);
+    obs::Stamp(&ctx, &RequestContext::accept_us);
     const std::vector<char> response = HandleRequest(frame.value(), &ctx);
     const bool sent = SendFrame(fd, response).ok();
-    if (sent) Stamp(&ctx.reply_flushed_us);
+    if (sent) obs::Stamp(&ctx, &RequestContext::reply_flushed_us);
     // Full-lifecycle accounting happens only now that the reply has been
     // flushed (or failed): per-phase histograms plus the structured event
     // record, slow exemplars retained by the log itself.
     metrics_->RecordPhases(ctx);
-    event_log_->Record(EventFromContext(ctx));
+    event_log_->Record(ctx);
     if (!sent) break;
   }
   ::close(fd);
@@ -263,20 +241,15 @@ std::vector<char> ScoringServer::HandleRequest(
   };
 
   // Appends the reply trace trailer (wire.h) when the request carried a
-  // request-ID tag: the ID echoed back plus the phase stamps known while
-  // the reply is being built (reply_flushed is by definition not yet).
+  // request-ID tag: the ID echoed back plus every stamp in table order.
+  // reply_flushed is still -1 here: the reply is not yet flushed.
   const auto append_trace = [&](WireWriter& writer) {
     if (ctx->request_id == 0) return;
     writer.PutU8(kRequestIdTag);
     writer.PutU64(ctx->request_id);
-    writer.PutI64(ctx->accept_us);
-    writer.PutI64(ctx->parse_us);
-    writer.PutI64(ctx->enqueue_us);
-    writer.PutI64(ctx->batch_close_us);
-    writer.PutI64(ctx->rows_assembled_us);
-    writer.PutI64(ctx->forward_done_us);
-    writer.PutI64(ctx->index_descent_us);
-    writer.PutI64(-1);  // reply_flushed: unknowable until after send
+    for (const obs::StampDef& stamp : obs::kStamps) {
+      writer.PutI64(ctx->*stamp.field);
+    }
   };
 
   switch (static_cast<WireVerb>(verb_byte.value())) {
@@ -309,7 +282,7 @@ std::vector<char> ScoringServer::HandleRequest(
                                     request_id.status().message()));
       }
       ctx->request_id = request_id.value();
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       Result<std::vector<float>> scores = batcher_->Score(requests, ctx);
       if (!scores.ok()) {
         return finish(ServeVerbStat::kScore, false,
@@ -351,7 +324,7 @@ std::vector<char> ScoringServer::HandleRequest(
                                     request_id.status().message()));
       }
       ctx->request_id = request_id.value();
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       const int32_t effective_beam = beam == 0 ? config_.topk_beam : beam;
       // Hold one generation for the whole ranking pass; a concurrent
       // reload cannot swap the store out from under it — the index is
@@ -360,14 +333,10 @@ std::vector<char> ScoringServer::HandleRequest(
       const std::shared_ptr<const StoreGeneration> generation =
           stores_->Current();
       ClusterTreeIndex::SearchStats search_stats;
-      ScorePhases phases;
       Result<std::vector<Recommendation>> top =
           generation->engine->RecommendTopK(user.value(), k.value(),
                                             effective_beam, &search_stats,
-                                            &phases);
-      ctx->rows_assembled_us = phases.rows_assembled_us;
-      ctx->forward_done_us = phases.forward_done_us;
-      ctx->index_descent_us = phases.index_descent_us;
+                                            ctx);
       if (!top.ok()) {
         return finish(ServeVerbStat::kTopK, false,
                       ErrorResponse(WireStatusForError(top.status()),
@@ -389,7 +358,7 @@ std::vector<char> ScoringServer::HandleRequest(
       return finish(ServeVerbStat::kTopK, true, writer.bytes());
     }
     case WireVerb::kHealth: {
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       WireWriter writer;
       writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
       writer.PutU8(1);
@@ -397,7 +366,7 @@ std::vector<char> ScoringServer::HandleRequest(
       return finish(ServeVerbStat::kHealth, true, writer.bytes());
     }
     case WireVerb::kStats: {
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       // ToJson() is the stable pre-§17 wire format; the daemon-scoped
       // fields (start generation, monotonic uptime, exemplar config) are
       // spliced in as a trailing "daemon" section so every older field
@@ -425,7 +394,7 @@ std::vector<char> ScoringServer::HandleRequest(
                       ErrorResponse(WireStatus::kBadRequest,
                                     "truncated reload request"));
       }
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       Result<int64_t> generation = stores_->Reload(path.value());
       if (!generation.ok()) {
         // The failed swap is a no-op for traffic: report the error but
@@ -440,14 +409,14 @@ std::vector<char> ScoringServer::HandleRequest(
       return finish(ServeVerbStat::kReload, true, writer.bytes());
     }
     case WireVerb::kMetrics: {
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       WireWriter writer;
       writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
       writer.PutString(metrics_->registry().DumpPrometheus());
       return finish(ServeVerbStat::kMetrics, true, writer.bytes());
     }
     case WireVerb::kTraceDump: {
-      Stamp(&ctx->parse_us);
+      obs::Stamp(ctx, &RequestContext::parse_us);
       WireWriter writer;
       writer.PutU8(static_cast<uint8_t>(WireStatus::kOk));
       writer.PutString(event_log_->DumpJsonl());

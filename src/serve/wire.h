@@ -51,10 +51,10 @@ namespace hignn {
 /// (request_id 0) — the same compat scheme as kTopK's trailing beam.
 /// When a kScore/kTopK request carried a tag, the kOk response appends a
 /// trailing trace: `u8 kRequestIdTag, u64 id, 8 x i64 phase stamps`
-/// (lifecycle order per obs::EventPhase; -1 = phase not reached;
-/// reply_flushed is -1 on the wire because the reply is not yet flushed
-/// while being built). Old clients stop after the scores and never see
-/// the trailer.
+/// (73 bytes; stamps in obs::kStamps order, obs/request_phases.h; -1 =
+/// phase not reached; reply_flushed is -1 on the wire because the reply
+/// is not yet flushed while being built). Old clients stop after the
+/// scores and never see the trailer.
 ///
 /// Floats travel as their IEEE-754 bit pattern in a u32, so a score is
 /// bit-exact across the wire — the parity tests compare for equality,

@@ -230,9 +230,9 @@ obs::Event TracedEvent(uint64_t request_id, int64_t start_us,
   obs::Event event;
   event.request_id = request_id;
   event.verb = 1;
-  event.stamps[obs::kPhaseAccept] = start_us;
-  event.stamps[obs::kPhaseParse] = start_us + 1;
-  event.stamps[obs::kPhaseReplyFlushed] = start_us + duration_us;
+  event.accept_us = start_us;
+  event.parse_us = start_us + 1;
+  event.reply_flushed_us = start_us + duration_us;
   return event;
 }
 
@@ -243,10 +243,10 @@ TEST(ObsEventLogTest, GoldenJsonlLineAndDurationSemantics) {
   event.request_id = 0xABCDEF0123456789ull;
   event.verb = 2;
   event.ok = false;
-  event.stamps[obs::kPhaseAccept] = 1000;
-  event.stamps[obs::kPhaseParse] = 1010;
-  event.stamps[obs::kPhaseIndexDescent] = 1200;
-  event.stamps[obs::kPhaseReplyFlushed] = 1250;
+  event.accept_us = 1000;
+  event.parse_us = 1010;
+  event.index_descent_us = 1200;
+  event.reply_flushed_us = 1250;
   EXPECT_EQ(event.DurationUs(), 250);
   log.Record(event);
   EXPECT_EQ(log.recorded(), 1);

@@ -601,6 +601,84 @@ TEST_F(ServeFixture, TopKTrailingFieldMatrixDisambiguatesByLength) {
   server->Stop();
 }
 
+// Pins the reply trailer's byte layout independently of the client's
+// parser: a consistent reorder of the stamp table on both ends would
+// still pass the round-trip tests, but not this one.
+TEST_F(ServeFixture, ReplyTrailerByteLayoutIsPinned) {
+  ServeMetrics metrics;
+  auto stores =
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
+  auto server =
+      std::move(ScoringServer::Start(stores.get(), &metrics, ServerConfig())
+                    .ValueOrDie());
+  RawWireClient raw(server->port());
+
+  // Reads the 73-byte trailer off the end of `response` and returns its
+  // eight stamp slots in wire order.
+  const auto trailer_stamps = [](const std::vector<char>& response,
+                                 uint64_t id) {
+    constexpr size_t kTrailerBytes = 73;
+    std::vector<int64_t> slots;
+    EXPECT_GE(response.size(), kTrailerBytes);
+    if (response.size() < kTrailerBytes) return slots;
+    WireReader reader(response.data() + response.size() - kTrailerBytes,
+                      kTrailerBytes);
+    EXPECT_EQ(reader.TakeU8().ValueOrDie(), 0x52);
+    EXPECT_EQ(reader.TakeU64().ValueOrDie(), id);
+    for (int slot = 0; slot < 8; ++slot) {
+      slots.push_back(reader.TakeI64().ValueOrDie());
+    }
+    EXPECT_EQ(reader.remaining(), 0u);
+    return slots;
+  };
+
+  const uint64_t score_id = RequestIdGenerator::Derive(0xFEED, 0);
+  WireWriter score;
+  score.PutU8(static_cast<uint8_t>(WireVerb::kScore));
+  score.PutU32(2);
+  for (const ScoreRequest& pair : TestPairs(2)) {
+    score.PutI32(pair.user);
+    score.PutI32(pair.item);
+  }
+  score.PutU8(kRequestIdTag);
+  score.PutU64(score_id);
+  std::vector<char> response = raw.RoundTrip(score.bytes());
+  ASSERT_FALSE(response.empty());
+  ASSERT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kOk);
+  // status(1) + count(4) + 2 scores(8) + trailer(73).
+  EXPECT_EQ(response.size(), 1u + 4u + 8u + 73u);
+  std::vector<int64_t> slots = trailer_stamps(response, score_id);
+  ASSERT_EQ(slots.size(), 8u);
+  for (int slot = 0; slot < 6; ++slot) EXPECT_GE(slots[slot], 0) << slot;
+  EXPECT_EQ(slots[6], -1);  // index_descent: a score never descends
+  EXPECT_EQ(slots[7], -1);  // reply_flushed: unknowable before the flush
+
+  const uint64_t topk_id = RequestIdGenerator::Derive(0xFEED, 1);
+  WireWriter topk;
+  topk.PutU8(static_cast<uint8_t>(WireVerb::kTopK));
+  topk.PutI32(3);
+  topk.PutI32(5);
+  topk.PutI32(0);  // server-default beam: the beamed index path
+  topk.PutU8(kRequestIdTag);
+  topk.PutU64(topk_id);
+  response = raw.RoundTrip(topk.bytes());
+  ASSERT_FALSE(response.empty());
+  ASSERT_EQ(static_cast<WireStatus>(response[0]), WireStatus::kOk);
+  // status(1) + count(4) + 5 x (item, score)(40) + trailer(73).
+  EXPECT_EQ(response.size(), 1u + 4u + 40u + 73u);
+  slots = trailer_stamps(response, topk_id);
+  ASSERT_EQ(slots.size(), 8u);
+  EXPECT_GE(slots[0], 0);   // accept
+  EXPECT_GE(slots[1], 0);   // parse
+  EXPECT_EQ(slots[2], -1);  // enqueue: topk bypasses the batcher
+  EXPECT_EQ(slots[3], -1);  // batch_close
+  EXPECT_GE(slots[4], 0);   // rows_assembled
+  EXPECT_GE(slots[5], 0);   // forward_done
+  EXPECT_GE(slots[6], 0);   // index_descent
+  EXPECT_EQ(slots[7], -1);  // reply_flushed
+  server->Stop();
+}
+
 TEST_F(ServeFixture, MalformedRequestIdTrailersAreBadRequests) {
   ServeMetrics metrics;
   auto stores =
@@ -691,6 +769,40 @@ TEST_F(ServeFixture, StatsCarriesTheDaemonSectionAndMetricsVerbsServe) {
                     RequestIdGenerator::Derive(0x5EED, 0)));
   EXPECT_NE(jsonl.find(id_hex), std::string::npos) << jsonl;
   server->Stop();
+}
+
+// The reply phase starts at forward_done only: verbs that run no forward
+// must not file their handler work under serve.phase.reply_us.
+TEST_F(ServeFixture, ReplyPhaseCountsOnlyRequestsThatRanAForward) {
+  ServeMetrics metrics;
+  auto stores =
+      std::move(StoreManager::Open(store_path_, &metrics).ValueOrDie());
+  auto server =
+      std::move(ScoringServer::Start(stores.get(), &metrics, ServerConfig())
+                    .ValueOrDie());
+  auto client =
+      std::move(ScoringClient::Connect("127.0.0.1", server->port())
+                    .ValueOrDie());
+  const obs::Histogram& reply =
+      metrics.registry().GetHistogram("serve.phase.reply_us", {});
+  const obs::Histogram& parse =
+      metrics.registry().GetHistogram("serve.phase.parse_us", {});
+
+  EXPECT_TRUE(client.Health().ok());
+  EXPECT_TRUE(client.Stats().ok());
+  EXPECT_TRUE(client.Metrics().ok());
+  EXPECT_TRUE(client.Reload().ok());
+  // Handlers record phases after the flush, so a request's histograms
+  // are final once the next reply on the same connection arrives.
+  EXPECT_TRUE(client.Health().ok());
+  EXPECT_EQ(reply.count(), 0);
+  EXPECT_GE(parse.count(), 4);  // the verbs were stamped all the same
+
+  EXPECT_TRUE(client.Score(TestPairs(4)).ok());
+  EXPECT_TRUE(client.Health().ok());
+  EXPECT_EQ(reply.count(), 1);
+  server->Stop();
+  EXPECT_EQ(reply.count(), 1);
 }
 
 // Scores must be identical whether one handler serializes every request

@@ -269,23 +269,18 @@ Result<ScoringClient> ConnectFlag(const CommandLine& cl) {
 }
 
 // When the caller opted into tracing (--request-id-seed), prints the
-// server's echoed phase stamps to stderr so the tab-separated stdout
-// stays machine-parsable.
+// server's echoed phase stamps to stderr, one `key=value` per stamp in
+// table order, so the tab-separated stdout stays machine-parsable.
 void PrintTrace(const ScoringClient& client) {
   const RequestContext& trace = client.last_trace();
   if (trace.request_id == 0) return;
-  std::fprintf(stderr,
-               "trace %016llx accept=%lld parse=%lld enqueue=%lld "
-               "batch_close=%lld rows_assembled=%lld forward_done=%lld "
-               "index_descent=%lld\n",
-               static_cast<unsigned long long>(trace.request_id),
-               static_cast<long long>(trace.accept_us),
-               static_cast<long long>(trace.parse_us),
-               static_cast<long long>(trace.enqueue_us),
-               static_cast<long long>(trace.batch_close_us),
-               static_cast<long long>(trace.rows_assembled_us),
-               static_cast<long long>(trace.forward_done_us),
-               static_cast<long long>(trace.index_descent_us));
+  std::fprintf(stderr, "trace %016llx",
+               static_cast<unsigned long long>(trace.request_id));
+  for (const obs::StampDef& stamp : obs::kStamps) {
+    std::fprintf(stderr, " %s=%lld", stamp.key,
+                 static_cast<long long>(trace.*stamp.field));
+  }
+  std::fprintf(stderr, "\n");
 }
 
 int RunScore(const CommandLine& cl) {
