@@ -37,8 +37,8 @@ using namespace hignn;
 // Memoizing per-pair scorer over a trained CVR model.
 class CachedModelScorer {
  public:
-  CachedModelScorer(CvrModel* model, const CvrFeatureBuilder* features,
-                    int32_t num_items)
+  CachedModelScorer(const CvrModel* model,
+                    const CvrFeatureBuilder* features, int32_t num_items)
       : model_(model), features_(features), num_items_(num_items) {}
 
   double operator()(int32_t user, int32_t item) {
@@ -54,7 +54,7 @@ class CachedModelScorer {
   }
 
  private:
-  CvrModel* model_;
+  const CvrModel* model_;
   const CvrFeatureBuilder* features_;
   int32_t num_items_;
   std::unordered_map<int64_t, double> cache_;

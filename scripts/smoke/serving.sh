@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serving smoke: export-store -> daemon -> every client verb, then the
 # retrieval index (beamed-vs-exact topk parity, the legacy --no-index
-# store layout, truncated index sections rejected on reload).
+# store layout, truncated index sections rejected on reload), then
+# cross-ISA parity (a HIGNN_SIMD=off daemon answers byte-identically).
 #
 #   scripts/smoke/serving.sh [build-dir]
 
@@ -12,7 +13,8 @@ smoke_store
 start_daemon serving --store "$SMOKE_DIR/store.hgnnstore" \
   --metrics-out "$SMOKE_DIR/metrics.json"
 "$HIGNN_SERVE" health --port "$PORT"
-"$HIGNN_SERVE" score --port "$PORT" --user 3 --item 7
+SCORE="$("$HIGNN_SERVE" score --port "$PORT" --user 3 --item 7)"
+echo "$SCORE"
 "$HIGNN_SERVE" topk --port "$PORT" --user 3 --k 5
 "$HIGNN_SERVE" stats --port "$PORT"
 
@@ -46,3 +48,15 @@ HEALTH="$("$HIGNN_SERVE" health --port "$PORT")"
 [ "$HEALTH" = "ok generation=2" ]
 stop_daemon
 test -s "$SMOKE_DIR/metrics.json"
+
+echo "== cross-ISA smoke (scalar-kernel daemon on the same store)"
+# Every kernel is bitwise identical on every ISA path (src/nn/simd.h), and
+# the client prints scores with %.9g, which round-trips a float: equal
+# lines mean equal bits.
+HIGNN_SIMD=off start_daemon serving_scalar \
+  --store "$SMOKE_DIR/store.hgnnstore"
+[ "$("$HIGNN_SERVE" topk --port "$PORT" --user 3 --k 5)" = "$TOPK_BEAMED" ]
+[ "$("$HIGNN_SERVE" topk --port "$PORT" --user 3 --k 5 --beam -1)" \
+  = "$TOPK_EXACT" ]
+[ "$("$HIGNN_SERVE" score --port "$PORT" --user 3 --item 7)" = "$SCORE" ]
+stop_daemon

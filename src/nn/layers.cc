@@ -1,6 +1,10 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "nn/pointwise.h"
+#include "nn/simd.h"
 
 namespace hignn {
 
@@ -18,6 +22,25 @@ VarId ApplyActivation(Tape& tape, VarId x, Activation act, float leaky_slope) {
       return tape.LeakyRelu(x, leaky_slope);
   }
   return x;
+}
+
+void ApplyActivationInPlace(Matrix& m, Activation act, float leaky_slope) {
+  switch (act) {
+    case Activation::kNone:
+      return;
+    case Activation::kSigmoid:
+      SigmoidInPlace(m);
+      return;
+    case Activation::kTanh:
+      TanhInPlace(m);
+      return;
+    case Activation::kRelu:
+      LeakyReluInPlace(m, 0.0f);
+      return;
+    case Activation::kLeakyRelu:
+      LeakyReluInPlace(m, leaky_slope);
+      return;
+  }
 }
 
 namespace {
@@ -51,6 +74,34 @@ VarId Dense::Forward(Tape& tape, VarId x, bool train) {
     last_b_ = kInvalidVar;
   }
   return ApplyActivation(tape, lin, act_);
+}
+
+Matrix Dense::Infer(const Matrix& x, const InputPrefix& prefix) const {
+  HIGNN_CHECK_EQ(x.cols(), in_dim());
+  Matrix out(x.rows(), out_dim());
+  if (prefix.cols > 0) {
+    HIGNN_CHECK_EQ(prefix.partial.cols(), out_dim());
+    const float* partial = prefix.partial.row(0);
+    for (size_t r = 0; r < out.rows(); ++r) {
+      std::copy(partial, partial + out_dim(), out.row(r));
+    }
+  }
+  MatMulAccumulate(x, weight_.value, prefix.cols, out);
+  if (use_bias_) AddRowBroadcastInPlace(out, bias_.value);
+  ApplyActivationInPlace(out, act_);
+  return out;
+}
+
+InputPrefix Dense::BindPrefix(const float* lead, size_t cols) const {
+  HIGNN_CHECK_LE(cols, in_dim());
+  InputPrefix prefix;
+  prefix.cols = cols;
+  prefix.partial = Matrix(1, out_dim());
+  if (cols > 0) {
+    simd::GemmBlock(1, cols, out_dim(), lead, cols, weight_.value.data(),
+                    out_dim(), prefix.partial.data(), out_dim());
+  }
+  return prefix;
 }
 
 void Dense::AccumulateGrads(const Tape& tape) {
@@ -87,6 +138,16 @@ VarId Mlp::Forward(Tape& tape, VarId x, bool train) {
   VarId h = x;
   for (auto& layer : layers_) h = layer.Forward(tape, h, train);
   return h;
+}
+
+Matrix Mlp::Infer(const Matrix& x, const InputPrefix& prefix) const {
+  Matrix h = layers_.front().Infer(x, prefix);
+  for (size_t i = 1; i < layers_.size(); ++i) h = layers_[i].Infer(h);
+  return h;
+}
+
+InputPrefix Mlp::BindPrefix(const float* lead, size_t cols) const {
+  return layers_.front().BindPrefix(lead, cols);
 }
 
 void Mlp::AccumulateGrads(const Tape& tape) {

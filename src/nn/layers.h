@@ -30,9 +30,26 @@ struct Parameter {
 /// \brief Pointwise nonlinearity selector for layers.
 enum class Activation { kNone, kSigmoid, kTanh, kRelu, kLeakyRelu };
 
+/// \brief Negative slope of kLeakyRelu in every layer.
+inline constexpr float kLeakySlope = 0.01f;
+
 /// \brief Applies an activation on the tape.
 VarId ApplyActivation(Tape& tape, VarId x, Activation act,
-                      float leaky_slope = 0.01f);
+                      float leaky_slope = kLeakySlope);
+
+/// \brief Applies an activation in place, with the same pointwise math
+/// (nn/pointwise.h) as the tape ops ApplyActivation records.
+void ApplyActivationInPlace(Matrix& m, Activation act,
+                            float leaky_slope = kLeakySlope);
+
+/// \brief A layer's product over a leading block of input columns that
+/// every row of an inference batch shares — e.g. the querying user's z^H
+/// block in a top-k scan. Made by Dense/Mlp::BindPrefix, consumed by
+/// Infer.
+struct InputPrefix {
+  size_t cols = 0;  ///< leading input columns c the partial covers
+  Matrix partial;   ///< 1 x out_dim: lead[0:c) * W[0:c, :), from zero
+};
 
 /// \brief Fully connected layer y = act(x W + b) with Xavier/He init.
 class Dense {
@@ -47,6 +64,22 @@ class Dense {
   /// \brief Records the layer on `tape` and returns the output node.
   /// `train` toggles requires_grad on the weights.
   VarId Forward(Tape& tape, VarId x, bool train = true);
+
+  /// \brief Tape-free forward act(x W + b), bitwise identical to
+  /// Forward(): the same GEMM kernel and pointwise math, but no tape, no
+  /// weight copies and no layer state written, so concurrent calls on one
+  /// const layer are safe. With a bound `prefix`, every row's output tile
+  /// starts from prefix.partial and accumulates only input columns
+  /// [prefix.cols, in_dim) — the same bits as the full product, because
+  /// the GEMM continues each element's ascending-p chain from the value it
+  /// holds (simd.h). The caller guarantees every row of `x` starts with
+  /// the lead the prefix was bound to. The default prefix (c = 0) starts
+  /// from zeros.
+  Matrix Infer(const Matrix& x, const InputPrefix& prefix = {}) const;
+
+  /// \brief partial = lead[0:cols) * W[0:cols, :), accumulated from zero
+  /// by the same GemmBlock kernel the forward runs.
+  InputPrefix BindPrefix(const float* lead, size_t cols) const;
 
   /// \brief Pulls tape gradients of this layer's parameters into
   /// Parameter::grad (accumulating).
@@ -80,7 +113,20 @@ class Mlp {
   Mlp(std::string name, const std::vector<size_t>& dims,
       Activation hidden_act, Activation output_act, Rng& rng);
 
+  /// \brief Records the chain on `tape` (training and gradient checks).
   VarId Forward(Tape& tape, VarId x, bool train = true);
+
+  /// \brief Tape-free inference: bitwise identical to Forward(train =
+  /// false), const and safe to call concurrently. `prefix` (from
+  /// BindPrefix) covers the first layer's shared leading columns; see
+  /// Dense::Infer.
+  Matrix Infer(const Matrix& x, const InputPrefix& prefix = {}) const;
+
+  /// \brief Binds a leading input block shared by every row of later
+  /// Infer calls: the first layer's partial product over its `cols`
+  /// columns.
+  InputPrefix BindPrefix(const float* lead, size_t cols) const;
+
   void AccumulateGrads(const Tape& tape);
   std::vector<Parameter*> Params();
   std::vector<const Parameter*> Params() const;

@@ -25,17 +25,18 @@ constexpr size_t kColBlock = 256;
 // as the scalar one (simd.h), so ISA choice never changes the bits either.
 //
 // Runs the register/cache-blocked GEMM over output rows [lo, hi):
-// out[i][j] += sum_p a[i][p] * b[p][j], with a mr x 8 register tile inside
-// simd::GemmBlock and a kColBlock j panel keeping B slices L1-resident.
-void GemmRowBand(const Matrix& a, const Matrix& b, Matrix& out, size_t lo,
-                 size_t hi) {
+// out[i][j] += sum_{p >= p0} a[i][p] * b[p][j], with a mr x 8 register tile
+// inside simd::GemmBlock and a kColBlock j panel keeping B slices
+// L1-resident.
+void GemmRowBand(const Matrix& a, const Matrix& b, size_t p0, Matrix& out,
+                 size_t lo, size_t hi) {
   const size_t k = a.cols();
   const size_t n = b.cols();
   for (size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const size_t jw = std::min(n - j0, kColBlock);
     for (size_t i0 = lo; i0 < hi; i0 += simd::kGemmRowTile) {
       const size_t mr = std::min(simd::kGemmRowTile, hi - i0);
-      simd::GemmBlock(mr, k, jw, a.row(i0), k, b.row(0) + j0, n,
+      simd::GemmBlock(mr, k - p0, jw, a.row(i0) + p0, k, b.row(p0) + j0, n,
                       out.row(i0) + j0, n);
     }
   }
@@ -135,18 +136,26 @@ std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  HIGNN_CHECK_EQ(a.cols(), b.rows());
   Matrix out(a.rows(), b.cols());
+  MatMulAccumulate(a, b, 0, out);
+  return out;
+}
+
+void MatMulAccumulate(const Matrix& a, const Matrix& b, size_t p0,
+                      Matrix& out) {
+  HIGNN_CHECK_EQ(a.cols(), b.rows());
+  HIGNN_CHECK_LE(p0, a.cols());
+  HIGNN_CHECK_EQ(out.rows(), a.rows());
+  HIGNN_CHECK_EQ(out.cols(), b.cols());
   const size_t m = a.rows();
-  const size_t k = a.cols();
+  const size_t k = a.cols() - p0;
   const size_t n = b.cols();
-  if (m == 0 || k == 0 || n == 0) return out;
+  if (m == 0 || k == 0 || n == 0) return;
   CountGemmDispatch();
   GlobalThreadPool().ParallelForWork(0, m, m * k * n,
                                      [&](size_t lo, size_t hi) {
-                                       GemmRowBand(a, b, out, lo, hi);
+                                       GemmRowBand(a, b, p0, out, lo, hi);
                                      });
-  return out;
 }
 
 Matrix MatMulBT(const Matrix& a, const Matrix& b) {
@@ -164,7 +173,7 @@ Matrix MatMulBT(const Matrix& a, const Matrix& b) {
   const Matrix bt = Transpose(b);
   GlobalThreadPool().ParallelForWork(0, m, m * k * n,
                                      [&](size_t lo, size_t hi) {
-                                       GemmRowBand(a, bt, out, lo, hi);
+                                       GemmRowBand(a, bt, 0, out, lo, hi);
                                      });
   return out;
 }

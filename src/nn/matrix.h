@@ -101,6 +101,14 @@ class Matrix {
 /// \brief out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
+/// \brief out += a[:, p0:k) * b[p0:k, :), with k = a.cols() = b.rows() and
+/// out already a.rows() x b.cols(). Each element continues its own
+/// ascending-p mul-then-add chain from the value `out` holds (simd.h's
+/// GemmBlock contract), so seeding `out` with the product over [0, p0)
+/// yields exactly MatMul's bits; MatMul is this with p0 = 0 on zeros.
+void MatMulAccumulate(const Matrix& a, const Matrix& b, size_t p0,
+                      Matrix& out);
+
 /// \brief out = a * b^T. Shapes: (m x k) * (n x k) -> (m x n).
 Matrix MatMulBT(const Matrix& a, const Matrix& b);
 

@@ -70,6 +70,11 @@ void Axpy(float* dst, float alpha, const float* src, size_t n);
 /// accumulation order every Matrix GEMM variant is defined by.
 /// `a` is mr x kc with row stride lda, `b` is kc x n with row stride ldb,
 /// `c` is mr x n with row stride ldc.
+/// Accumulation contract: the kernel loads C's existing values and adds
+/// each a[r][p] * b[p][j] in ascending p, so running it over [0, s) and
+/// then over [s, kc) yields the same bits as one run over [0, kc) — the
+/// identity Mlp::Infer's shared-prefix first layer rests on. Every path
+/// (scalar, AVX2, NEON) keeps it; kernel_test pins it for every split.
 void GemmBlock(size_t mr, size_t kc, size_t n, const float* a, size_t lda,
                const float* b, size_t ldb, float* c, size_t ldc);
 

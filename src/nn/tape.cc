@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "nn/pointwise.h"
 #include "nn/simd.h"
 #include "obs/metrics.h"
 
@@ -73,15 +74,6 @@ void CountFusedAggregate() {
 inline double Softplus(double x) {
   if (x > 0) return x + std::log1p(std::exp(-x));
   return std::log1p(std::exp(x));
-}
-
-inline double SigmoidScalar(double x) {
-  if (x >= 0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
 }
 
 }  // namespace
@@ -168,14 +160,8 @@ VarId Tape::Add(VarId a, VarId b) {
 
 VarId Tape::AddRowBroadcast(VarId a, VarId bias) {
   const Matrix& va = value(a);
-  const Matrix& vb = value(bias);
-  HIGNN_CHECK_EQ(vb.rows(), 1u);
-  HIGNN_CHECK_EQ(va.cols(), vb.cols());
   Matrix out = va;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.row(r);
-    for (size_t c = 0; c < out.cols(); ++c) row[c] += vb(0, c);
-  }
+  AddRowBroadcastInPlace(out, value(bias));
   const bool needs = nodes_[a].requires_grad || nodes_[bias].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -445,9 +431,7 @@ VarId Tape::RowL2Normalize(VarId a, float eps) {
 
 VarId Tape::Sigmoid(VarId a) {
   Matrix out = value(a);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = static_cast<float>(SigmoidScalar(out.data()[i]));
-  }
+  SigmoidInPlace(out);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -467,9 +451,7 @@ VarId Tape::Sigmoid(VarId a) {
 
 VarId Tape::Tanh(VarId a) {
   Matrix out = value(a);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = std::tanh(out.data()[i]);
-  }
+  TanhInPlace(out);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -491,10 +473,7 @@ VarId Tape::Relu(VarId a) { return LeakyRelu(a, 0.0f); }
 
 VarId Tape::LeakyRelu(VarId a, float negative_slope) {
   Matrix out = value(a);
-  for (size_t i = 0; i < out.size(); ++i) {
-    const float x = out.data()[i];
-    if (x < 0.0f) out.data()[i] = negative_slope * x;
-  }
+  LeakyReluInPlace(out, negative_slope);
   const bool needs = nodes_[a].requires_grad;
   VarId id = Emit(std::move(out), needs, nullptr);
   if (needs) {
@@ -568,7 +547,7 @@ VarId Tape::BceWithLogits(VarId logits, std::vector<float> labels,
       const float g = nodes_[id].grad(0, 0);
       const Matrix& vl2 = nodes_[logits].value;
       for (size_t i = 0; i < ls.size(); ++i) {
-        const double p = SigmoidScalar(vl2(i, 0));
+        const double p = StableSigmoid(vl2(i, 0));
         gl(i, 0) += static_cast<float>(
             g * ws[i] * (p - ls[i]) / weight_total);
       }

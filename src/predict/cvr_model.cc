@@ -5,6 +5,7 @@
 
 #include "eval/metrics.h"
 #include "nn/optimizer.h"
+#include "nn/pointwise.h"
 #include "nn/tape.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -102,7 +103,7 @@ Result<double> CvrModel::Train(const CvrFeatureBuilder& features,
 
 Result<std::vector<float>> CvrModel::Predict(
     const CvrFeatureBuilder& features,
-    const std::vector<LabeledSample>& samples) {
+    const std::vector<LabeledSample>& samples) const {
   if (features.dim() != input_dim_) {
     return Status::InvalidArgument("feature dim != model input dim");
   }
@@ -119,19 +120,15 @@ Result<std::vector<float>> CvrModel::Predict(
   return out;
 }
 
-Result<std::vector<float>> CvrModel::PredictRows(const Matrix& rows) {
+Result<std::vector<float>> CvrModel::PredictRows(
+    const Matrix& rows, const InputPrefix& prefix) const {
   if (rows.cols() != static_cast<size_t>(input_dim_)) {
     return Status::InvalidArgument("feature dim != model input dim");
   }
-  std::vector<float> out;
-  out.reserve(rows.rows());
-  if (rows.rows() == 0) return out;
-  Tape tape;
-  VarId x = tape.Input(rows);
-  VarId probs = tape.Sigmoid(mlp_.Forward(tape, x, /*train=*/false));
-  const Matrix& values = tape.value(probs);
-  for (size_t r = 0; r < values.rows(); ++r) out.push_back(values(r, 0));
-  return out;
+  if (rows.rows() == 0) return std::vector<float>{};
+  Matrix probs = mlp_.Infer(rows, prefix);
+  SigmoidInPlace(probs);
+  return std::vector<float>(probs.data(), probs.data() + probs.size());
 }
 
 void CvrModel::WriteWeightsPayload(BinaryWriter& writer) const {
@@ -178,8 +175,9 @@ Result<CvrModel> CvrModel::ReadWeightsPayload(BinaryReader& reader) {
   return model;
 }
 
-Result<double> CvrModel::EvaluateAuc(const CvrFeatureBuilder& features,
-                                     const std::vector<LabeledSample>& samples) {
+Result<double> CvrModel::EvaluateAuc(
+    const CvrFeatureBuilder& features,
+    const std::vector<LabeledSample>& samples) const {
   HIGNN_ASSIGN_OR_RETURN(std::vector<float> scores,
                          Predict(features, samples));
   std::vector<float> labels;

@@ -40,19 +40,25 @@ class CvrModel {
                        const std::vector<LabeledSample>& samples);
 
   /// \brief Predicted purchase probabilities, aligned with `samples`.
-  Result<std::vector<float>> Predict(const CvrFeatureBuilder& features,
-                                     const std::vector<LabeledSample>& samples);
+  Result<std::vector<float>> Predict(
+      const CvrFeatureBuilder& features,
+      const std::vector<LabeledSample>& samples) const;
 
   /// \brief Probabilities for pre-assembled feature rows (one per row of
   /// `rows`). This is the single forward-pass implementation Predict()
-  /// chunks over; every output row depends only on its own input row, so
-  /// a probability is bitwise identical no matter how rows are batched —
-  /// the property the online serving path's parity guarantee rests on.
-  Result<std::vector<float>> PredictRows(const Matrix& rows);
+  /// chunks over — the tape-free Mlp::Infer, bitwise identical to the
+  /// training forward and safe to call concurrently. Every output row
+  /// depends only on its own input row, so a probability is bitwise
+  /// identical no matter how rows are batched — the property the online
+  /// serving path's parity guarantee rests on. `prefix` (from
+  /// mlp().BindPrefix) skips the first layer's work over a leading block
+  /// every row shares, without changing a bit.
+  Result<std::vector<float>> PredictRows(
+      const Matrix& rows, const InputPrefix& prefix = {}) const;
 
   /// \brief AUC of Predict() against the sample labels.
   Result<double> EvaluateAuc(const CvrFeatureBuilder& features,
-                             const std::vector<LabeledSample>& samples);
+                             const std::vector<LabeledSample>& samples) const;
 
   /// \brief Serializes topology + exact float weights into the writer's
   /// current checksum section (no header; composes into larger
@@ -64,6 +70,10 @@ class CvrModel {
   static Result<CvrModel> ReadWeightsPayload(BinaryReader& reader);
 
   int32_t input_dim() const { return input_dim_; }
+
+  /// \brief The underlying network: binds PredictRows prefixes, and
+  /// tests run the tape forward on a copy of it as the reference.
+  const Mlp& mlp() const { return mlp_; }
 
  private:
   CvrModel(int32_t input_dim, const CvrModelConfig& config);

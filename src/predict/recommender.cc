@@ -45,7 +45,7 @@ std::vector<Recommendation> TopKByScore(const std::vector<int32_t>& items,
   return out;
 }
 
-TopKRecommender::TopKRecommender(CvrModel* model,
+TopKRecommender::TopKRecommender(const CvrModel* model,
                                  const CvrFeatureBuilder* features,
                                  int32_t num_items)
     : model_(model), features_(features), num_items_(num_items) {

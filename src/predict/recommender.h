@@ -41,9 +41,9 @@ std::vector<Recommendation> TopKByScore(const std::vector<int32_t>& items,
 class TopKRecommender {
  public:
   /// \param model, features  a trained CvrModel and the matching feature
-  ///   builder; both must outlive the recommender. The model pointer is
-  ///   non-const because forward passes record tape handles internally.
-  TopKRecommender(CvrModel* model, const CvrFeatureBuilder* features,
+  ///   builder; both must outlive the recommender. Predict() is const and
+  ///   writes no model state, so concurrent Recommend() calls are safe.
+  TopKRecommender(const CvrModel* model, const CvrFeatureBuilder* features,
                   int32_t num_items);
 
   /// \brief Returns the top-k items for `user`, optionally excluding a
@@ -61,7 +61,7 @@ class TopKRecommender {
   }
 
  private:
-  CvrModel* model_;
+  const CvrModel* model_;
   const CvrFeatureBuilder* features_;
   int32_t num_items_;
 };

@@ -68,6 +68,7 @@ class EmbeddingStore {
   const float* ItemBlock(int32_t item) const;
   const float* UserTail(int32_t user) const;
   const float* ItemTail(int32_t item) const;
+  int32_t user_block_cols() const { return user_block_cols_; }
   int32_t user_tail_dim() const { return user_tail_dim_; }
   int32_t item_tail_dim() const { return item_tail_dim_; }
 
@@ -84,8 +85,8 @@ class EmbeddingStore {
   /// the offline builder's row for the same pair.
   Status FillFeatureRow(int32_t user, int32_t item, float* row) const;
 
-  /// \brief The exported CVR predictor (copy it to run forwards — the
-  /// tape mutates per-forward bookkeeping inside the model).
+  /// \brief The exported CVR predictor. Its forwards are const and
+  /// tape-free, so every engine thread runs them on this one copy.
   const CvrModel& model() const { return *model_; }
 
   /// \brief The cluster-tree retrieval index over the item hierarchy.

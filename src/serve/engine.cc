@@ -1,6 +1,6 @@
 #include "serve/engine.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "nn/matrix.h"
 #include "obs/request_phases.h"
@@ -12,11 +12,6 @@ namespace hignn {
 
 namespace {
 
-// Forward chunk size, matching CvrModel::Predict's offline chunking. The
-// value has no effect on results (rows are independent); it only bounds
-// tape memory for huge batches.
-constexpr size_t kForwardChunk = 4096;
-
 // Below this many rows the ParallelFor dispatch overhead exceeds the
 // row-assembly work itself.
 constexpr size_t kParallelRowCutoff = 32;
@@ -27,14 +22,12 @@ Result<std::unique_ptr<PredictionEngine>> PredictionEngine::Open(
     const std::string& store_path) {
   HIGNN_ASSIGN_OR_RETURN(std::unique_ptr<EmbeddingStore> store,
                          EmbeddingStore::Open(store_path));
-  CvrModel model = store->model();  // private copy: forwards mutate state
   return std::unique_ptr<PredictionEngine>(
-      new PredictionEngine(std::move(store), std::move(model)));
+      new PredictionEngine(std::move(store)));
 }
 
-PredictionEngine::PredictionEngine(std::unique_ptr<EmbeddingStore> store,
-                                   CvrModel model)
-    : store_(std::move(store)), model_(std::move(model)) {}
+PredictionEngine::PredictionEngine(std::unique_ptr<EmbeddingStore> store)
+    : store_(std::move(store)) {}
 
 Result<std::vector<float>> PredictionEngine::ScoreBatch(
     const std::vector<ScoreRequest>& batch, RequestContext* ctx) {
@@ -51,11 +44,13 @@ Result<std::vector<float>> PredictionEngine::ScoreBatch(
                     store_->num_items()));
     }
   }
-  return ScoreValidated(batch, ctx);
+  // Rows belong to different users, so no leading block is shared.
+  return ScoreValidated(batch, ctx, InputPrefix{});
 }
 
 std::vector<float> PredictionEngine::ScoreValidated(
-    const std::vector<ScoreRequest>& batch, RequestContext* ctx) {
+    const std::vector<ScoreRequest>& batch, RequestContext* ctx,
+    const InputPrefix& prefix) {
   const size_t dim = static_cast<size_t>(store_->feature_dim());
   Matrix rows(batch.size(), dim);
   const auto fill = [&](size_t begin, size_t end) {
@@ -72,34 +67,25 @@ std::vector<float> PredictionEngine::ScoreValidated(
   }
   obs::Stamp(ctx, &RequestContext::rows_assembled_us);
 
-  std::vector<float> scores = ForwardRows(rows);
+  std::vector<float> scores = ForwardRows(rows, prefix);
   obs::Stamp(ctx, &RequestContext::forward_done_us);
   return scores;
 }
 
-std::vector<float> PredictionEngine::ForwardRows(const Matrix& rows) {
-  const size_t count = rows.rows();
-  const size_t dim = rows.cols();
-  std::vector<float> scores;
-  scores.reserve(count);
-  MutexLock lock(model_mu_);
-  if (count <= kForwardChunk) {
-    Result<std::vector<float>> batch_scores = model_.PredictRows(rows);
-    HIGNN_CHECK(batch_scores.ok());
-    return std::move(batch_scores).value();
-  }
-  for (size_t begin = 0; begin < count; begin += kForwardChunk) {
-    const size_t end = std::min(count, begin + kForwardChunk);
-    Matrix chunk(end - begin, dim);
-    std::copy(rows.row(begin), rows.row(begin) + (end - begin) * dim,
-              chunk.row(0));
-    Result<std::vector<float>> chunk_scores = model_.PredictRows(chunk);
-    // PredictRows only fails on shape mismatch, which the store rules out.
-    HIGNN_CHECK(chunk_scores.ok());
-    const std::vector<float>& values = chunk_scores.value();
-    scores.insert(scores.end(), values.begin(), values.end());
-  }
-  return scores;
+InputPrefix PredictionEngine::BindUser(int32_t user) const {
+  // The user's z^H block leads every FillFeatureRow / FillClusterRow row;
+  // a store without one binds an empty prefix (c = 0).
+  return store_->model().mlp().BindPrefix(
+      store_->UserBlock(user),
+      static_cast<size_t>(store_->user_block_cols()));
+}
+
+std::vector<float> PredictionEngine::ForwardRows(
+    const Matrix& rows, const InputPrefix& prefix) const {
+  Result<std::vector<float>> scores = store_->model().PredictRows(rows, prefix);
+  // PredictRows only fails on shape mismatch, which the store rules out.
+  HIGNN_CHECK(scores.ok());
+  return std::move(scores).value();
 }
 
 Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
@@ -117,7 +103,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendExact(
     batch.push_back(ScoreRequest{user, item});
     items.push_back(item);
   }
-  const std::vector<float> scores = ScoreValidated(batch, ctx);
+  const std::vector<float> scores = ScoreValidated(batch, ctx, BindUser(user));
   return TopKByScore(items, scores, k);
 }
 
@@ -142,9 +128,12 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
     if (stats != nullptr) *stats = ClusterTreeIndex::SearchStats{};
     return RecommendExact(user, k, ctx);
   }
+  // One bound prefix serves the centroid rows at every level and the
+  // surviving leaves: all of them start with this user's z^H block.
+  const InputPrefix prefix = BindUser(user);
   const ClusterTreeIndex::RowScorer scorer =
-      [this](const Matrix& rows) -> Result<std::vector<float>> {
-    return ForwardRows(rows);
+      [this, &prefix](const Matrix& rows) -> Result<std::vector<float>> {
+    return ForwardRows(rows, prefix);
   };
   HIGNN_ASSIGN_OR_RETURN(
       const std::vector<int32_t> leaves,
@@ -156,7 +145,7 @@ Result<std::vector<Recommendation>> PredictionEngine::RecommendTopK(
   for (const int32_t item : leaves) {
     batch.push_back(ScoreRequest{user, item});
   }
-  const std::vector<float> scores = ScoreValidated(batch, ctx);
+  const std::vector<float> scores = ScoreValidated(batch, ctx, prefix);
   return TopKByScore(leaves, scores, k);
 }
 

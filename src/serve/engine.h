@@ -9,9 +9,7 @@
 #include "predict/recommender.h"
 #include "serve/embedding_store.h"
 #include "serve/request_context.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace hignn {
 
@@ -29,7 +27,11 @@ struct ScoreRequest {
 /// accumulation order, so a pair's score is bitwise identical no matter
 /// how requests are batched or how many threads serve them — and
 /// identical to the offline CvrModel::Predict on the same pair. That is
-/// the property the serving tests pin down.
+/// the property the serving tests pin down. The forward is the const,
+/// tape-free CvrModel::PredictRows on the store's own model, so
+/// concurrent requests run their forwards in parallel, lock-free. A top-k
+/// query binds its user's z^H block once (Mlp::BindPrefix) and every
+/// candidate row reuses that first-layer product.
 class PredictionEngine {
  public:
   /// \brief Opens `store_path` (integrity-checked) and readies the model.
@@ -69,23 +71,28 @@ class PredictionEngine {
   const EmbeddingStore& store() const { return *store_; }
 
  private:
-  PredictionEngine(std::unique_ptr<EmbeddingStore> store, CvrModel model);
+  explicit PredictionEngine(std::unique_ptr<EmbeddingStore> store);
 
-  /// \brief Parallel row assembly + chunked forward. Ids must be valid.
+  /// \brief Parallel row assembly + forward. Ids must be valid; with a
+  /// bound `prefix`, every request must be for the user it was bound to.
   std::vector<float> ScoreValidated(const std::vector<ScoreRequest>& batch,
-                                    RequestContext* ctx = nullptr);
+                                    RequestContext* ctx,
+                                    const InputPrefix& prefix);
+
+  /// \brief The first-layer product of `user`'s z^H block, the leading
+  /// feature block of every row a top-k query for that user scores.
+  InputPrefix BindUser(int32_t user) const;
 
   /// \brief Shared exact-scan tail of both RecommendTopK overloads.
   Result<std::vector<Recommendation>> RecommendExact(int32_t user, int32_t k,
                                                      RequestContext* ctx);
 
-  /// \brief Chunked forward over pre-assembled rows (the shared tail of
+  /// \brief Forward over pre-assembled rows (the shared tail of
   /// ScoreValidated and the index's per-level centroid scoring).
-  std::vector<float> ForwardRows(const Matrix& rows);
+  std::vector<float> ForwardRows(const Matrix& rows,
+                                 const InputPrefix& prefix) const;
 
   const std::unique_ptr<EmbeddingStore> store_;
-  Mutex model_mu_;  ///< serializes PredictRows calls
-  CvrModel model_ HIGNN_GUARDED_BY(model_mu_);  ///< forwards record tape state
 };
 
 }  // namespace hignn

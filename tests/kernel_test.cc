@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/hignn.h"
@@ -145,6 +146,36 @@ TEST(SimdParityTest, AccumulateAndAxpyAllTailLengths) {
     simd::ForcePathForTesting(simd::Best());
     simd::Axpy(best_axpy.data(), 0.37f, src.data(), n);
     EXPECT_EQ(scalar_axpy, best_axpy) << "Axpy n=" << n;
+  }
+}
+
+// GemmBlock's accumulation contract (simd.h): it continues each element's
+// ascending-p mul-then-add chain from the value C already holds, so a run
+// over [0, s) followed by a run over [s, k) leaves the same bytes as one
+// run over [0, k) from zero — for every split s, every row-tile height and
+// both the forced-scalar and the active path. Mlp::Infer's shared-prefix
+// first layer rests on this identity.
+TEST(SimdParityTest, GemmBlockSplitAccumulationIsBitwiseIdentical) {
+  PathGuard guard;
+  const size_t k = 13;  // odd
+  const size_t n = 21;  // n % 8 != 0: vector panels plus a scalar tail
+  const std::vector<float> b = RandomVector(k * n, 193);
+  for (const simd::IsaPath path : {simd::IsaPath::kScalar, simd::Best()}) {
+    simd::ForcePathForTesting(path);
+    for (size_t mr = 1; mr <= simd::kGemmRowTile; ++mr) {
+      const std::vector<float> a = RandomVector(mr * k, 191 + mr);
+      std::vector<float> whole(mr * n, 0.0f);
+      simd::GemmBlock(mr, k, n, a.data(), k, b.data(), n, whole.data(), n);
+      for (size_t s = 0; s <= k; ++s) {
+        std::vector<float> split(mr * n, 0.0f);
+        simd::GemmBlock(mr, s, n, a.data(), k, b.data(), n, split.data(), n);
+        simd::GemmBlock(mr, k - s, n, a.data() + s, k, b.data() + s * n, n,
+                        split.data(), n);
+        EXPECT_EQ(0, std::memcmp(whole.data(), split.data(),
+                                 whole.size() * sizeof(float)))
+            << "path " << simd::PathName() << " mr=" << mr << " s=" << s;
+      }
+    }
   }
 }
 

@@ -1,6 +1,9 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,6 +93,81 @@ TEST(MlpTest, ChainsDimensions) {
   VarId y = mlp.Forward(tape, tape.Input(x), false);
   EXPECT_EQ(tape.value(y).rows(), 2u);
   EXPECT_EQ(tape.value(y).cols(), 1u);
+}
+
+::testing::AssertionResult SameBytes(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.rows() << "x" << a.cols() << " vs " << b.rows()
+           << "x" << b.cols();
+  }
+  if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "bytes differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The reference Infer must match: the tape forward with frozen weights.
+Matrix TapeForward(Mlp mlp, const Matrix& x) {
+  Tape tape;
+  return tape.value(mlp.Forward(tape, tape.Input(x), /*train=*/false));
+}
+
+// Mlp::Infer is the serving forward. It must reproduce the tape forward
+// byte for byte for every activation and batch shape (partial row tiles,
+// and a batch large enough to split across the thread pool), and so must
+// the shared-prefix first layer at every split c in [0, in_dim]: rows that
+// share their first c columns, scored from the bound partial product.
+TEST(MlpInferTest, MatchesTapeForwardBitwiseAtEveryPrefixSplit) {
+  const size_t in_dim = 11;
+  for (const Activation act :
+       {Activation::kNone, Activation::kSigmoid, Activation::kTanh,
+        Activation::kRelu, Activation::kLeakyRelu}) {
+    Rng rng(7);
+    // Output activation = hidden activation, so every act also sees the
+    // last layer; widths 10 and 6 leave SIMD column tails.
+    const Mlp mlp("p", {in_dim, 10, 6, 1}, act, act, rng);
+    std::vector<float> lead(in_dim);
+    for (float& v : lead) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (const size_t rows : {1, 3, 4, 5, 4097}) {
+      Matrix x(rows, in_dim);
+      x.FillNormal(rng);
+      EXPECT_TRUE(SameBytes(TapeForward(mlp, x), mlp.Infer(x)))
+          << "act " << static_cast<int>(act) << " rows " << rows;
+      for (size_t c = 0; c <= in_dim; ++c) {
+        Matrix shared = x;
+        for (size_t r = 0; r < rows; ++r) {
+          std::copy(lead.begin(), lead.begin() + c, shared.row(r));
+        }
+        const InputPrefix prefix = mlp.BindPrefix(lead.data(), c);
+        EXPECT_TRUE(
+            SameBytes(TapeForward(mlp, shared), mlp.Infer(shared, prefix)))
+            << "act " << static_cast<int>(act) << " rows " << rows
+            << " c " << c;
+      }
+    }
+  }
+}
+
+TEST(MlpInferTest, ReluMapsNegativeInputsToNegativeZero) {
+  Matrix m(1, 3, {-2.0f, 0.0f, 3.0f});
+  ApplyActivationInPlace(m, Activation::kRelu);
+  EXPECT_TRUE(std::signbit(m(0, 0)));
+  EXPECT_EQ(m(0, 0), 0.0f);
+  EXPECT_FALSE(std::signbit(m(0, 1)));
+  EXPECT_EQ(m(0, 2), 3.0f);
+}
+
+TEST(DenseTest, InferWithoutBiasMatchesTapeForward) {
+  Rng rng(8);
+  Dense layer("m", 7, 9, Activation::kTanh, rng, /*use_bias=*/false);
+  Matrix x(5, 7);
+  x.FillNormal(rng);
+  Dense copy = layer;
+  Tape tape;
+  const Matrix expected =
+      tape.value(copy.Forward(tape, tape.Input(x), /*train=*/false));
+  EXPECT_TRUE(SameBytes(expected, layer.Infer(x)));
 }
 
 // Training an MLP with Adam must solve XOR — a full end-to-end check of

@@ -14,6 +14,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <unistd.h>
 
 #include "data/planted.h"
+#include "nn/tape.h"
 #include "predict/recommender.h"
 #include "serve/client.h"
 #include "serve/embedding_store.h"
@@ -224,6 +226,151 @@ TEST_F(PlantedIndexFixture, BeamedTopKIsIdenticalAcrossHotReloads) {
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]) << "rank " << i;
+  }
+}
+
+// ------------------------------------------------ tape-free forward --
+
+// The tape forward on a copy of the store's network: the reference the
+// engine's tape-free forward, with its once-per-query user prefix, must
+// match bit for bit.
+std::vector<float> TapeScores(const CvrModel& model, const Matrix& rows) {
+  Mlp mlp = model.mlp();
+  Tape tape;
+  const VarId probs = tape.Sigmoid(
+      mlp.Forward(tape, tape.Input(rows), /*train=*/false));
+  const Matrix& values = tape.value(probs);
+  return std::vector<float>(values.data(), values.data() + values.size());
+}
+
+::testing::AssertionResult SameRanking(
+    const std::vector<Recommendation>& a,
+    const std::vector<Recommendation>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].item != b[i].item ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "rank " << i << ": item " << a[i].item << " score "
+             << a[i].score << " vs item " << b[i].item << " score "
+             << b[i].score;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+void ExpectSameStats(const ClusterTreeIndex::SearchStats& a,
+                     const ClusterTreeIndex::SearchStats& b) {
+  EXPECT_EQ(a.nodes_scored, b.nodes_scored);
+  EXPECT_EQ(a.leaves_selected, b.leaves_selected);
+  EXPECT_EQ(a.levels_descended, b.levels_descended);
+}
+
+TEST_F(PlantedIndexFixture, TopKScoresMatchTapeForwardReferenceBitwise) {
+  auto engine = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
+  const EmbeddingStore& store = engine->store();
+  // The planted store has a user z^H block, so the engine really binds a
+  // non-empty prefix on both top-k paths.
+  ASSERT_GT(store.user_block_cols(), 0);
+  const CvrModel& model = store.model();
+  const int32_t num_items = store.num_items();
+  for (const int32_t user : {5, 88, 190}) {
+    Matrix rows(static_cast<size_t>(num_items),
+                static_cast<size_t>(store.feature_dim()));
+    std::vector<int32_t> items;
+    for (int32_t item = 0; item < num_items; ++item) {
+      ASSERT_TRUE(store.FillFeatureRow(user, item, rows.row(item)).ok());
+      items.push_back(item);
+    }
+    const std::vector<float> reference = TapeScores(model, rows);
+    EXPECT_TRUE(SameRanking(TopKByScore(items, reference, 10),
+                            engine->RecommendTopK(user, 10, -1).ValueOrDie()))
+        << "exact, user " << user;
+
+    // The same descent with the tape scoring the centroid rows, then the
+    // tape's leaf scores.
+    const ClusterTreeIndex::RowScorer tape_scorer =
+        [&model](const Matrix& r) -> Result<std::vector<float>> {
+      return TapeScores(model, r);
+    };
+    ClusterTreeIndex::SearchStats reference_stats;
+    const std::vector<int32_t> leaves =
+        store.index()
+            .SelectLeaves(store.UserBlock(user), store.UserTail(user),
+                          kDefaultTopKBeam, tape_scorer, &reference_stats)
+            .ValueOrDie();
+    std::vector<float> leaf_scores;
+    for (const int32_t leaf : leaves) leaf_scores.push_back(reference[leaf]);
+    ClusterTreeIndex::SearchStats stats;
+    EXPECT_TRUE(SameRanking(
+        TopKByScore(leaves, leaf_scores, 10),
+        engine->RecommendTopK(user, 10, kDefaultTopKBeam, &stats)
+            .ValueOrDie()))
+        << "beamed, user " << user;
+    ExpectSameStats(reference_stats, stats);
+  }
+}
+
+// The engine holds no lock around its forward: concurrent top-k and score
+// requests on one engine, over a shared 4-thread pool, must return the
+// serial answers bit for bit. Also built into the tsan binary, where this
+// is the race check for the lock-free forward.
+TEST_F(PlantedIndexFixture, ConcurrentRequestsMatchSerialAnswersBitwise) {
+  auto engine = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
+  const int32_t num_users = engine->store().num_users();
+  const int32_t num_items = engine->store().num_items();
+  const std::vector<int32_t> users = {2, 31, 77, 140, 199};
+  std::vector<ScoreRequest> pairs;
+  for (int32_t i = 0; i < 64; ++i) {
+    pairs.push_back(ScoreRequest{(i * 37) % num_users, (i * 101) % num_items});
+  }
+  struct Answers {
+    std::vector<std::vector<Recommendation>> beamed;
+    std::vector<std::vector<Recommendation>> exact;
+    std::vector<ClusterTreeIndex::SearchStats> stats;
+    std::vector<float> scores;
+  };
+  const auto answer = [&]() {
+    Answers out;
+    for (const int32_t user : users) {
+      ClusterTreeIndex::SearchStats stats;
+      out.beamed.push_back(
+          engine->RecommendTopK(user, 10, kDefaultTopKBeam, &stats)
+              .ValueOrDie());
+      out.stats.push_back(stats);
+      out.exact.push_back(engine->RecommendTopK(user, 10).ValueOrDie());
+    }
+    out.scores = engine->ScoreBatch(pairs).ValueOrDie();
+    return out;
+  };
+
+  SetGlobalThreadPoolThreads(4);
+  const Answers serial = answer();
+  constexpr int kThreads = 4;
+  std::vector<Answers> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&answer, &concurrent, t] {
+      concurrent[static_cast<size_t>(t)] = answer();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  SetGlobalThreadPoolThreads(1);
+
+  for (const Answers& got : concurrent) {
+    for (size_t u = 0; u < users.size(); ++u) {
+      EXPECT_TRUE(SameRanking(serial.beamed[u], got.beamed[u]))
+          << "beamed, user " << users[u];
+      EXPECT_TRUE(SameRanking(serial.exact[u], got.exact[u]))
+          << "exact, user " << users[u];
+      ExpectSameStats(serial.stats[u], got.stats[u]);
+    }
+    ASSERT_EQ(serial.scores.size(), got.scores.size());
+    EXPECT_EQ(0, std::memcmp(serial.scores.data(), got.scores.data(),
+                             serial.scores.size() * sizeof(float)));
   }
 }
 
