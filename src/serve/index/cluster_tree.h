@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "nn/matrix.h"
-#include "util/io.h"
 #include "util/status.h"
 
 namespace hignn {
@@ -26,28 +25,20 @@ struct IndexFeatureGeometry {
   int32_t feature_dim = 0;
 };
 
-/// \brief One level of the routing tree. Arrays are either borrowed
-/// from a store reader (v2 stores — zero-copy, like every other store
-/// section) or owned (on-load construction for v1 stores and at export
-/// time); the `owned_*` vectors are empty in the borrowed case.
+/// \brief One level of the routing tree, owned by the index (built at
+/// store open, never stored in the file).
 struct ClusterTreeLevel {
   int32_t num_clusters = 0;
-  int32_t num_children = 0;
   /// Per-cluster centroid of the member items' z^H item block / item
   /// tail: num_clusters x item_block_cols and num_clusters x
   /// item_tail_dim, row-major.
-  const float* centroid_block = nullptr;
-  const float* centroid_tail = nullptr;
+  std::vector<float> centroid_block;
+  std::vector<float> centroid_tail;
   /// Child CSR, children sorted ascending within each cluster. Level 1
   /// children are original item ids; level l > 1 children are level
   /// l-1 cluster ids. child_offsets has num_clusters + 1 entries.
-  const int32_t* child_offsets = nullptr;
-  const int32_t* child_ids = nullptr;
-
-  std::vector<float> owned_block;
-  std::vector<float> owned_tail;
-  std::vector<int32_t> owned_offsets;
-  std::vector<int32_t> owned_ids;
+  std::vector<int32_t> child_offsets;
+  std::vector<int32_t> child_ids;
 };
 
 /// \brief The hierarchy-as-index: HiGNN's own cluster chains turned
@@ -59,8 +50,9 @@ struct ClusterTreeLevel {
 /// cluster's representative is the centroid of its member items'
 /// embedding block and tail (double-precision accumulation in
 /// ascending item order, rounded to float once), and the child lists
-/// are sorted ascending. Export-time construction and on-load
-/// construction therefore produce byte-identical trees.
+/// are sorted ascending. EmbeddingStore::Open runs it over the arrays
+/// it has just loaded, so the tree is a function of the store bytes and
+/// is kept in no file.
 ///
 /// Retrieval (SelectLeaves) is beam-search descent: score the user
 /// against every level-L centroid through the same CVR head the leaves
@@ -74,8 +66,8 @@ struct ClusterTreeLevel {
 /// which is bitwise identical to the linear scan.
 class ClusterTreeIndex {
  public:
-  /// \brief Everything construction/validation needs, as raw views
-  /// into either the exporting model's matrices or a loaded store.
+  /// \brief Everything construction needs, as raw views into a loaded
+  /// store (or any caller's arrays).
   /// `right_chain` is level-major: chain[(level-1) * num_items + item]
   /// is the level-`level` cluster of `item`, level in [1, chain_levels].
   struct Source {
@@ -100,24 +92,12 @@ class ClusterTreeIndex {
   using RowScorer =
       std::function<Result<std::vector<float>>(const Matrix& rows)>;
 
-  /// \brief Deterministic construction from chains + embeddings (used
-  /// both by `hignn export-store` and when loading version-1 stores
-  /// that predate the index sections). Fails with InvalidArgument if
-  /// the chains are not a consistent partition hierarchy.
+  /// \brief Deterministic construction from chains + embeddings, run by
+  /// EmbeddingStore::Open. Fails with InvalidArgument if the chains are
+  /// not a consistent partition hierarchy (a negative cluster id, a
+  /// lower cluster with two parents) or a needed array pointer is
+  /// missing.
   static Result<ClusterTreeIndex> Build(const Source& source);
-
-  /// \brief Serializes the tree as checksummed store sections: one
-  /// meta section (level count + per-level shapes), then one section
-  /// per level with the 64-byte-aligned centroid and CSR arrays.
-  /// Assumes the writer is at a fresh section boundary.
-  void WriteSections(BinaryWriter& writer) const;
-
-  /// \brief Zero-copy load of WriteSections output. Validates every
-  /// shape and the CSR structure against the store's chains (`source`);
-  /// any inconsistency is an IOError, the same contract as a failed
-  /// section checksum.
-  static Result<ClusterTreeIndex> ReadSections(BinaryReader& reader,
-                                               const Source& source);
 
   int32_t num_levels() const {
     return static_cast<int32_t>(levels_.size());

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include "core/hignn.h"
 #include "data/synthetic.h"
 #include "obs/event_log.h"
@@ -29,8 +31,12 @@
 namespace hignn {
 namespace {
 
+// This file is built into several test binaries that ctest runs in
+// parallel, and the report tests rewrite their files in place: the pid
+// keeps one binary from reading another's half-written bytes.
 std::string TempPath(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return std::string(::testing::TempDir()) + "/" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 // Restores the global collection switch when a test body exits, including

@@ -2,15 +2,15 @@
 // exactness knob (beam <= 0 and beam = "infinity" are bitwise identical
 // to the linear scan), determinism across thread counts and hot-reload
 // generations, recall@10 at the default beam on a planted hierarchy,
-// byte-identical on-load index reconstruction for legacy version-1
-// stores, rejection of corrupted/truncated index sections, the wire
-// protocol's optional per-request beam field (including the pre-beam
-// 8-byte body old clients send), and the shared TopKByScore tie-break
-// contract both paths rest on.
+// the index built at store open checked against a reference
+// construction, rejection of inconsistent chains, the wire protocol's
+// optional per-request beam field (including the pre-beam 8-byte body
+// old clients send), and the shared TopKByScore tie-break contract both
+// paths rest on.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
@@ -45,22 +45,9 @@ std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-std::string ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 // One planted world shared by every test: cluster structure and score
 // landscape are planted (data/planted.h), so beam descent has a
-// hierarchy it can actually route — exported once with the index
-// sections (v2) and once in the legacy pre-index layout (v1).
+// hierarchy it can actually route.
 class PlantedIndexFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -77,13 +64,6 @@ class PlantedIndexFixture : public ::testing::Test {
     EXPECT_TRUE(ExportEmbeddingStore(world_->model, world_->dataset,
                                      world_->spec, world_->cvr, store_path_)
                     .ok());
-    legacy_path_ = TempPath("planted_index_v1.hgnnstore");
-    StoreExportOptions legacy;
-    legacy.include_index = false;
-    EXPECT_TRUE(ExportEmbeddingStore(world_->model, world_->dataset,
-                                     world_->spec, world_->cvr, legacy_path_,
-                                     legacy)
-                    .ok());
   }
 
   static void TearDownTestSuite() {
@@ -93,12 +73,10 @@ class PlantedIndexFixture : public ::testing::Test {
 
   static PlantedWorld* world_;
   static std::string store_path_;
-  static std::string legacy_path_;
 };
 
 PlantedWorld* PlantedIndexFixture::world_ = nullptr;
 std::string PlantedIndexFixture::store_path_;
-std::string PlantedIndexFixture::legacy_path_;
 
 // ------------------------------------------------------ tie-breaking --
 
@@ -218,7 +196,13 @@ TEST_F(PlantedIndexFixture, BeamedTopKIsIdenticalAcrossHotReloads) {
           ->engine->RecommendTopK(77, 10, kDefaultTopKBeam)
           .ValueOrDie();
   ASSERT_TRUE(stores->Reload().ok());
-  ASSERT_TRUE(stores->Reload(legacy_path_).ok());  // v1: index rebuilt
+  // A second fresh export of the same world: its index is built anew at
+  // open and must route identically.
+  const std::string again_path = TempPath("planted_index_again.hgnnstore");
+  ASSERT_TRUE(ExportEmbeddingStore(world_->model, world_->dataset,
+                                   world_->spec, world_->cvr, again_path)
+                  .ok());
+  ASSERT_TRUE(stores->Reload(again_path).ok());
   const std::vector<Recommendation> after =
       stores->Current()
           ->engine->RecommendTopK(77, 10, kDefaultTopKBeam)
@@ -398,84 +382,168 @@ TEST_F(PlantedIndexFixture, DefaultBeamHoldsRecallAt10Above95Percent) {
   EXPECT_GE(recall, 0.95) << hits << "/" << wanted;
 }
 
-// ----------------------------------------------- store format / load --
+// ------------------------------------------------- index construction --
 
-TEST_F(PlantedIndexFixture, LegacyStoreRebuildsByteIdenticalIndex) {
-  auto v2 = std::move(EmbeddingStore::Open(store_path_).ValueOrDie());
-  auto v1 = std::move(EmbeddingStore::Open(legacy_path_).ValueOrDie());
-  const ClusterTreeIndex& a = v2->index();
-  const ClusterTreeIndex& b = v1->index();
-  ASSERT_EQ(a.num_levels(), b.num_levels());
-  ASSERT_GE(a.num_levels(), 2);
-  const int32_t block = a.geometry().item_block_cols;
-  const int32_t tail = a.geometry().item_tail_dim;
-  for (int32_t l = 1; l <= a.num_levels(); ++l) {
-    const ClusterTreeLevel& la = a.level(l);
-    const ClusterTreeLevel& lb = b.level(l);
-    ASSERT_EQ(la.num_clusters, lb.num_clusters) << "level " << l;
-    ASSERT_EQ(la.num_children, lb.num_children) << "level " << l;
-    EXPECT_EQ(0, std::memcmp(la.centroid_block, lb.centroid_block,
-                             static_cast<size_t>(la.num_clusters) *
-                                 static_cast<size_t>(block) * sizeof(float)))
-        << "level " << l << " centroid block";
-    EXPECT_EQ(0, std::memcmp(la.centroid_tail, lb.centroid_tail,
-                             static_cast<size_t>(la.num_clusters) *
-                                 static_cast<size_t>(tail) * sizeof(float)))
-        << "level " << l << " centroid tail";
-    EXPECT_EQ(0,
-              std::memcmp(la.child_offsets, lb.child_offsets,
-                          static_cast<size_t>(la.num_clusters + 1) *
-                              sizeof(int32_t)))
-        << "level " << l << " offsets";
-    EXPECT_EQ(0, std::memcmp(la.child_ids, lb.child_ids,
-                             static_cast<size_t>(la.num_children) *
-                                 sizeof(int32_t)))
-        << "level " << l << " children";
-  }
-}
-
-TEST_F(PlantedIndexFixture, LegacyAndIndexedStoresServeIdenticalBeamedTopK) {
-  auto indexed = std::move(PredictionEngine::Open(store_path_).ValueOrDie());
-  auto legacy = std::move(PredictionEngine::Open(legacy_path_).ValueOrDie());
-  for (int32_t user : {5, 99, 180}) {
-    const std::vector<Recommendation> a =
-        indexed->RecommendTopK(user, 10, kDefaultTopKBeam).ValueOrDie();
-    const std::vector<Recommendation> b =
-        legacy->RecommendTopK(user, 10, kDefaultTopKBeam).ValueOrDie();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "user " << user << " rank " << i;
+// Reference construction, written independently of Build: per level,
+// one pass over the items in ascending order adds each item's block and
+// tail into its cluster's double row, then every row is scaled by
+// 1 / member count and rounded to float once.
+TEST_F(PlantedIndexFixture, IndexMatchesReferenceCentroidsAndChainCsr) {
+  auto store = std::move(EmbeddingStore::Open(store_path_).ValueOrDie());
+  const ClusterTreeIndex& index = store->index();
+  ASSERT_EQ(index.num_levels(), store->chain_levels());
+  ASSERT_GE(index.num_levels(), 2);
+  const int32_t n = store->num_items();
+  const size_t block = static_cast<size_t>(index.geometry().item_block_cols);
+  const size_t tail = static_cast<size_t>(index.geometry().item_tail_dim);
+  ASSERT_GT(block, 0u);
+  int32_t prev_clusters = 0;
+  for (int32_t l = 1; l <= index.num_levels(); ++l) {
+    const ClusterTreeLevel& level = index.level(l);
+    const size_t clusters = static_cast<size_t>(level.num_clusters);
+    std::vector<double> block_sum(clusters * block, 0.0);
+    std::vector<double> tail_sum(clusters * tail, 0.0);
+    std::vector<int64_t> count(clusters, 0);
+    int32_t max_id = -1;
+    for (int32_t item = 0; item < n; ++item) {
+      const int32_t c = store->RightClusterAt(item, l);
+      ASSERT_GE(c, 0);
+      ASSERT_LT(static_cast<size_t>(c), clusters);
+      max_id = std::max(max_id, c);
+      ++count[static_cast<size_t>(c)];
+      for (size_t j = 0; j < block; ++j) {
+        block_sum[static_cast<size_t>(c) * block + j] +=
+            static_cast<double>(store->ItemBlock(item)[j]);
+      }
+      for (size_t j = 0; j < tail; ++j) {
+        tail_sum[static_cast<size_t>(c) * tail + j] +=
+            static_cast<double>(store->ItemTail(item)[j]);
+      }
     }
+    EXPECT_EQ(max_id + 1, level.num_clusters) << "level " << l;
+    std::vector<float> want_block(clusters * block);
+    std::vector<float> want_tail(clusters * tail);
+    for (size_t c = 0; c < clusters; ++c) {
+      const double inv =
+          count[c] > 0 ? 1.0 / static_cast<double>(count[c]) : 0.0;
+      for (size_t j = 0; j < block; ++j) {
+        want_block[c * block + j] =
+            static_cast<float>(block_sum[c * block + j] * inv);
+      }
+      for (size_t j = 0; j < tail; ++j) {
+        want_tail[c * tail + j] =
+            static_cast<float>(tail_sum[c * tail + j] * inv);
+      }
+    }
+    ASSERT_EQ(level.centroid_block.size(), want_block.size());
+    ASSERT_EQ(level.centroid_tail.size(), want_tail.size());
+    EXPECT_EQ(0, std::memcmp(level.centroid_block.data(), want_block.data(),
+                             want_block.size() * sizeof(float)))
+        << "level " << l << " centroid block";
+    EXPECT_EQ(0, std::memcmp(level.centroid_tail.data(), want_tail.data(),
+                             want_tail.size() * sizeof(float)))
+        << "level " << l << " centroid tail";
+
+    // Child CSR: offsets monotone from 0, children ascending within a
+    // cluster, each child exactly once, and each child's chain (level
+    // 1) or parent (higher levels) pointing back at its cluster.
+    ASSERT_EQ(level.child_offsets.size(), clusters + 1);
+    EXPECT_EQ(level.child_offsets.front(), 0);
+    EXPECT_EQ(static_cast<size_t>(level.child_offsets.back()),
+              level.child_ids.size());
+    std::vector<int32_t> parent_of(static_cast<size_t>(prev_clusters), -1);
+    if (l > 1) {
+      for (int32_t item = 0; item < n; ++item) {
+        parent_of[static_cast<size_t>(store->RightClusterAt(item, l - 1))] =
+            store->RightClusterAt(item, l);
+      }
+    }
+    const int32_t child_domain = l == 1 ? n : prev_clusters;
+    std::vector<int32_t> seen(static_cast<size_t>(child_domain), 0);
+    for (size_t c = 0; c < clusters; ++c) {
+      const int32_t begin = level.child_offsets[c];
+      const int32_t end = level.child_offsets[c + 1];
+      ASSERT_LE(begin, end) << "level " << l << " cluster " << c;
+      for (int32_t p = begin; p < end; ++p) {
+        const int32_t child = level.child_ids[static_cast<size_t>(p)];
+        ASSERT_GE(child, 0);
+        ASSERT_LT(child, child_domain);
+        if (p > begin) {
+          EXPECT_LT(level.child_ids[static_cast<size_t>(p) - 1], child)
+              << "level " << l << " cluster " << c;
+        }
+        ++seen[static_cast<size_t>(child)];
+        const int32_t up = l == 1 ? store->RightClusterAt(child, 1)
+                                  : parent_of[static_cast<size_t>(child)];
+        EXPECT_EQ(up, static_cast<int32_t>(c))
+            << "level " << l << " child " << child;
+      }
+    }
+    for (int32_t child = 0; child < child_domain; ++child) {
+      // Items all appear once; a lower cluster appears once unless it is
+      // empty (no parent).
+      const int32_t want =
+          l == 1 || parent_of[static_cast<size_t>(child)] >= 0 ? 1 : 0;
+      EXPECT_EQ(seen[static_cast<size_t>(child)], want)
+          << "level " << l << " child " << child;
+    }
+    prev_clusters = level.num_clusters;
   }
 }
 
-TEST_F(PlantedIndexFixture, CorruptedIndexSectionIsRejectedAsIOError) {
-  std::string bytes = ReadBytes(store_path_);
-  const std::string v1_bytes = ReadBytes(legacy_path_);
-  ASSERT_GT(bytes.size(), v1_bytes.size());
-  // The index sections are everything the v2 layout appends after the
-  // v1 layout; flip a bit comfortably inside them.
-  const size_t index_start = v1_bytes.size();
-  const size_t target = index_start + (bytes.size() - index_start) / 2;
-  bytes[target] = static_cast<char>(bytes[target] ^ 0x10);
-  const std::string corrupt_path = TempPath("planted_index_corrupt.hgnnstore");
-  WriteBytes(corrupt_path, bytes);
-  auto store = EmbeddingStore::Open(corrupt_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kIOError)
-      << store.status().ToString();
+// Build is the only structural check on the item hierarchy at store
+// open: each malformed source must fail with InvalidArgument.
+class BuildValidationTest : public ::testing::Test {
+ protected:
+  // Four items, two levels, one-column item block, no tails:
+  // level 1 = {0, 1} {2, 3}, level 2 = everything in cluster 0.
+  BuildValidationTest() {
+    chain_ = {0, 0, 1, 1,  // level 1
+              0, 0, 0, 0};  // level 2
+    source_.num_items = 4;
+    source_.chain_levels = 2;
+    source_.item_block = block_.data();
+    source_.right_chain = chain_.data();
+    source_.geometry.level_dim = 1;
+    source_.geometry.item_block_cols = 1;
+    source_.geometry.feature_dim = 1;
+  }
+
+  std::vector<float> block_ = {0.5f, 1.5f, 2.5f, 3.5f};
+  std::vector<int32_t> chain_;
+  ClusterTreeIndex::Source source_;
+};
+
+TEST_F(BuildValidationTest, WellFormedSourceBuilds) {
+  const ClusterTreeIndex index =
+      ClusterTreeIndex::Build(source_).ValueOrDie();
+  ASSERT_EQ(index.num_levels(), 2);
+  EXPECT_EQ(index.level(1).centroid_block, (std::vector<float>{1.0f, 3.0f}));
+  EXPECT_EQ(index.level(2).child_ids, (std::vector<int32_t>{0, 1}));
 }
 
-TEST_F(PlantedIndexFixture, TruncatedIndexSectionIsRejectedAsIOError) {
-  const std::string bytes = ReadBytes(store_path_);
-  ASSERT_GT(bytes.size(), 128u);
-  const std::string truncated_path =
-      TempPath("planted_index_truncated.hgnnstore");
-  WriteBytes(truncated_path, bytes.substr(0, bytes.size() - 96));
-  auto store = EmbeddingStore::Open(truncated_path);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kIOError)
-      << store.status().ToString();
+TEST_F(BuildValidationTest, NegativeClusterIdIsInvalidArgument) {
+  chain_[2] = -1;
+  const Result<ClusterTreeIndex> index = ClusterTreeIndex::Build(source_);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument)
+      << index.status().ToString();
+}
+
+TEST_F(BuildValidationTest, LowerClusterWithTwoParentsIsInvalidArgument) {
+  chain_[4 + 1] = 1;  // item 1 leaves its level-1 sibling's parent
+  const Result<ClusterTreeIndex> index = ClusterTreeIndex::Build(source_);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument)
+      << index.status().ToString();
+}
+
+TEST_F(BuildValidationTest, MissingItemBlockIsInvalidArgument) {
+  source_.item_block = nullptr;
+  const Result<ClusterTreeIndex> index = ClusterTreeIndex::Build(source_);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument)
+      << index.status().ToString();
 }
 
 // ------------------------------------------------------------- wire --

@@ -7,6 +7,7 @@
 // a (user, item) score over TCP must equal the offline
 // CvrModel::Predict float bit for bit — any batching, any thread count.
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -34,6 +35,7 @@
 #include "serve/server.h"
 #include "serve/store_manager.h"
 #include "serve/wire.h"
+#include "util/io.h"
 #include "util/status.h"
 
 namespace hignn {
@@ -234,6 +236,142 @@ TEST_F(ServeFixture, BitFlippedStoreIsRejectedBeforeParsing) {
   auto store = EmbeddingStore::Open(corrupt_path);
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kIOError)
+      << store.status().ToString();
+}
+
+// A minimal store written field by field in the exporter's layout: two
+// users, three items, one chain level, d = 2, one-float tails. The meta
+// fields are written as given and feature_dim (and the CVR model's input
+// width) is made to add up, so only the checks under test can reject it.
+struct CraftedStoreMeta {
+  uint32_t version = 1;
+  int32_t user_levels = 1;
+  int32_t item_levels = 1;
+  bool use_match = true;
+  int32_t match_levels = 1;
+  int32_t user_tail_dim = 1;
+  int32_t item_tail_dim = 1;
+};
+
+std::string WriteCraftedStore(const std::string& name,
+                              const CraftedStoreMeta& meta) {
+  constexpr int32_t kUsers = 2;
+  constexpr int32_t kItems = 3;
+  constexpr int32_t kLevelDim = 2;
+  constexpr size_t kAlignment = 64;
+  const int32_t user_cols = meta.user_levels * kLevelDim;
+  const int32_t item_cols = meta.item_levels * kLevelDim;
+  const int32_t feature_dim = user_cols + item_cols + meta.match_levels +
+                              meta.user_tail_dim + meta.item_tail_dim;
+  CvrModelConfig config;
+  config.hidden = {4};
+  const CvrModel cvr = CvrModel::Create(feature_dim, config).ValueOrDie();
+
+  const std::string path = TempPath(name);
+  BinaryWriter writer(path);
+  EXPECT_TRUE(writer.ok());
+  writer.WriteHeader(kTagEmbeddingStore);
+  writer.WriteU32(meta.version);
+  writer.WriteI32(kUsers);
+  writer.WriteI32(kItems);
+  writer.WriteI32(kLevelDim);
+  writer.WriteI32(/*chain_levels=*/1);
+  writer.WriteI32(meta.user_levels);
+  writer.WriteI32(meta.item_levels);
+  writer.WriteU32(/*use_profile=*/1);
+  writer.WriteU32(/*use_item_stats=*/1);
+  writer.WriteU32(meta.use_match ? 1 : 0);
+  writer.WriteI32(meta.match_levels);
+  writer.WriteI32(user_cols);
+  writer.WriteI32(item_cols);
+  writer.WriteI32(meta.user_tail_dim);
+  writer.WriteI32(meta.item_tail_dim);
+  writer.WriteI32(feature_dim);
+  writer.NextSection();
+  for (const size_t count :
+       {static_cast<size_t>(kUsers * std::max(user_cols, 0)),
+        static_cast<size_t>(kItems * std::max(item_cols, 0)),
+        static_cast<size_t>(kUsers * std::max(meta.user_tail_dim, 0)),
+        static_cast<size_t>(kItems * std::max(meta.item_tail_dim, 0))}) {
+    const std::vector<float> values(count, 0.25f);
+    writer.AlignTo(kAlignment);
+    writer.WriteRawFloats(values.data(), values.size());
+    writer.NextSection();
+  }
+  const std::vector<int32_t> left_chain = {0, 0};
+  const std::vector<int32_t> right_chain = {0, 0, 1};
+  writer.AlignTo(kAlignment);
+  writer.WriteRawI32s(left_chain.data(), left_chain.size());
+  writer.AlignTo(kAlignment);
+  writer.WriteRawI32s(right_chain.data(), right_chain.size());
+  writer.NextSection();
+  cvr.WriteWeightsPayload(writer);
+  EXPECT_TRUE(writer.Close().ok());
+  return path;
+}
+
+void ExpectCraftedStoreRejected(const std::string& name,
+                                const CraftedStoreMeta& meta) {
+  auto store = EmbeddingStore::Open(WriteCraftedStore(name, meta));
+  ASSERT_FALSE(store.ok()) << name;
+  EXPECT_EQ(store.status().code(), StatusCode::kIOError)
+      << name << ": " << store.status().ToString();
+}
+
+TEST(StoreMetadataTest, ExporterMatchLevelsOpenAndServe) {
+  auto store = EmbeddingStore::Open(
+      WriteCraftedStore("crafted_ok.hgnnstore", CraftedStoreMeta()));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::vector<float> row(static_cast<size_t>(store.value()->feature_dim()));
+  EXPECT_TRUE(store.value()->FillFeatureRow(1, 2, row.data()).ok());
+  EXPECT_EQ(store.value()->index().num_levels(), 1);
+
+  CraftedStoreMeta no_match;
+  no_match.use_match = false;
+  no_match.match_levels = 0;
+  EXPECT_TRUE(
+      EmbeddingStore::Open(WriteCraftedStore("crafted_nomatch.hgnnstore",
+                                             no_match))
+          .ok());
+}
+
+TEST(StoreMetadataTest, ImpossibleMatchLevelsAreIOErrors) {
+  CraftedStoreMeta negative;
+  negative.match_levels = -1;
+  ExpectCraftedStoreRejected("crafted_match_neg.hgnnstore", negative);
+
+  // More match dots than the one-level user row can feed.
+  CraftedStoreMeta too_many;
+  too_many.item_levels = 4;
+  too_many.match_levels = 4;
+  ExpectCraftedStoreRejected("crafted_match_many.hgnnstore", too_many);
+
+  CraftedStoreMeta without_flag;
+  without_flag.use_match = false;
+  ExpectCraftedStoreRejected("crafted_match_noflag.hgnnstore", without_flag);
+}
+
+TEST(StoreMetadataTest, NegativeLevelCountsAndTailWidthsAreIOErrors) {
+  CraftedStoreMeta negative_levels;
+  negative_levels.user_levels = -1;
+  negative_levels.match_levels = -1;  // what min(levels) would give
+  ExpectCraftedStoreRejected("crafted_levels_neg.hgnnstore", negative_levels);
+
+  CraftedStoreMeta negative_tail;
+  negative_tail.user_tail_dim = -1;
+  negative_tail.item_tail_dim = 2;
+  ExpectCraftedStoreRejected("crafted_tail_neg.hgnnstore", negative_tail);
+}
+
+TEST(StoreMetadataTest, OtherStoreVersionsAskForAReExport) {
+  CraftedStoreMeta version_two;
+  version_two.version = 2;
+  auto store = EmbeddingStore::Open(
+      WriteCraftedStore("crafted_v2.hgnnstore", version_two));
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kIOError);
+  EXPECT_NE(store.status().message().find("hignn export-store"),
+            std::string::npos)
       << store.status().ToString();
 }
 
